@@ -1554,6 +1554,126 @@ let lint_scale ?(smoke = false) () =
   end
   else note "lint_scale ok"
 
+(* Connectivity work is linear: every net, gate and pin lookup of a cold
+   [Sta.analyze] goes through the design's net<->gate index, so the gate
+   records those lookups hand out ([Sta.connectivity_work]) per net must
+   stay flat from a small to a big Synth grid; and a single-edit session
+   re-time must charge its lookups to its dirty cone (the nets its
+   worklists visit), not to the design.  Counter-based, so both gates
+   hold on loaded or single-core runners; wall time rides along for
+   information only. *)
+let sta_linear ?(smoke = false) () =
+  section
+    (if smoke then "STA linearity — smoke (connectivity work gates)"
+     else "STA linearity — connectivity work vs design size");
+  let small, big = if smoke then (40, 100) else (40, 160) in
+  let cores = Parallel.default_jobs () in
+  let mk n =
+    let d = Sta.Synth.grid ~rows:n ~cols:n () in
+    Sta.set_clock d ~period:5e-9;
+    d
+  in
+  let cold n ~jobs =
+    let d = mk n in
+    let nets = Sta.Synth.net_count d in
+    Sta.reset_connectivity_work ();
+    let t0 = Unix.gettimeofday () in
+    ignore (Sta.analyze ~sparse:true ~jobs ~cache:(Sta.create_cache ()) d);
+    let t = Unix.gettimeofday () -. t0 in
+    (nets, Sta.connectivity_work (), t)
+  in
+  let nets_s, work_s, t_s = cold small ~jobs:1 in
+  let nets_b, work_b, t_b = cold big ~jobs:1 in
+  let _, work_s4, _ = cold small ~jobs:4 in
+  note "grid %dx%d: %6d nets  %9d lookups  %8.2f ms cold analyze" small small
+    nets_s work_s (1e3 *. t_s);
+  note "grid %dx%d: %6d nets  %9d lookups  %8.2f ms cold analyze" big big
+    nets_b work_b (1e3 *. t_b);
+  let per_s = float_of_int work_s /. float_of_int nets_s in
+  let per_b = float_of_int work_b /. float_of_int nets_b in
+  let growth = per_b /. per_s in
+  claim ~paper:"the per-net kernel is what a timing run should pay for"
+    "lookups/net: %.2f (small) -> %.2f (big), growth %.3fx (gate: <= 1.2)"
+    per_s per_b growth;
+  let cold_ok = growth <= 1.2 in
+  let jobs_ok = work_s4 = work_s in
+  note "lookups at jobs=4: %d (%s jobs=1)" work_s4
+    (if jobs_ok then "=" else "DIFFERENT FROM");
+  (* single-edit re-times on a loaded session: an endpoint-adjacent
+     wire edit (a handful of re-solved nets, though its required times
+     move across most of the upstream grid) and a mid-grid one (the
+     whole downstream quadrant re-solved), each applied, re-timed,
+     reverted and re-timed again; lookups and cone visits sum over
+     both re-times *)
+  let retime_site n net =
+    let s = Sta.Session.create ~sparse:true ~jobs:1 (mk n) in
+    let visits () = (Sta.Session.totals s).Sta.Session.total_visits in
+    let before = visits () in
+    Sta.reset_connectivity_work ();
+    (match Sta.Session.apply s (Sta.Session.Set_resistance { net; index = 0; value = 260. }) with
+    | Ok () -> ()
+    | Error msg -> failwith ("sta_linear: edit rejected: " ^ msg));
+    (match Sta.Session.retime s with
+    | Ok _ -> ()
+    | Error msg -> failwith ("sta_linear: retime failed: " ^ msg));
+    ignore (Sta.Session.revert s);
+    (match Sta.Session.retime s with
+    | Ok _ -> ()
+    | Error msg -> failwith ("sta_linear: retime failed: " ^ msg));
+    (Sta.connectivity_work (), visits () - before)
+  in
+  let sites =
+    [ ("endpoint", small, Printf.sprintf "w%d_%d" (small - 2) (small - 2));
+      ("endpoint", big, Printf.sprintf "w%d_%d" (big - 2) (big - 2));
+      ("mid-grid", small, Printf.sprintf "w%d_%d" (small / 2) (small / 2)) ]
+  in
+  let retimes =
+    List.map
+      (fun (label, n, net) ->
+        let work, visits = retime_site n net in
+        let ratio = float_of_int work /. float_of_int (max 1 visits) in
+        note "%s edit %s on %dx%d: %d lookups over a cone of %d net visits \
+              (%.2f per visit)"
+          label net n n work visits ratio;
+        (label, n, work, visits, ratio))
+      sites
+  in
+  let retime_ok = List.for_all (fun (_, _, _, _, r) -> r <= 4.) retimes in
+  claim ~paper:"an ECO pays for its cone, not the design"
+    "single-edit retime lookups per cone visit: worst %.2f (gate: <= 4)"
+    (List.fold_left (fun a (_, _, _, _, r) -> Float.max a r) 0. retimes);
+  let ok = cold_ok && jobs_ok && retime_ok in
+  let json_path = "BENCH_sta_linear.json" in
+  let oc = open_out json_path in
+  Printf.fprintf oc
+    "{ \"scenario\": \"sta_linear\", \"smoke\": %b, \"cores\": %d,\n\
+    \  \"grid_small\": [%d, %d], \"grid_big\": [%d, %d],\n\
+    \  \"nets_small\": %d, \"nets_big\": %d,\n\
+    \  \"lookups_small\": %d, \"lookups_big\": %d, \"lookups_small_jobs4\": %d,\n\
+    \  \"ms_small\": %.3f, \"ms_big\": %.3f,\n\
+    \  \"lookups_per_net_small\": %.4f, \"lookups_per_net_big\": %.4f,\n\
+    \  \"lookups_per_net_growth\": %.4f, \"linearity_gate_ok\": %b,\n\
+    \  \"retimes\": [%s],\n\
+    \  \"retime_gate_ok\": %b }\n"
+    smoke cores small small big big nets_s nets_b work_s work_b work_s4
+    (1e3 *. t_s) (1e3 *. t_b) per_s per_b growth (cold_ok && jobs_ok)
+    (String.concat ", "
+       (List.map
+          (fun (label, n, work, visits, ratio) ->
+            Printf.sprintf
+              "{ \"site\": %S, \"grid\": %d, \"lookups\": %d, \"cone_visits\": %d, \"per_visit\": %.4f }"
+              label n work visits ratio)
+          retimes))
+    retime_ok;
+  close_out oc;
+  note "wrote %s" json_path;
+  if not ok then begin
+    note "STA LINEAR FAIL — cold growth %.3fx, jobs-identical %b, retime ok %b"
+      growth jobs_ok retime_ok;
+    exit 1
+  end
+  else note "sta_linear ok"
+
 let verify_bench () =
   section "Verification harness — differential oracle throughput";
   let seed = 42 and cases = 24 in
@@ -1837,7 +1957,8 @@ let experiments =
     ("sta_eco", fun () -> sta_eco ());
     ("sta_corners", fun () -> sta_corners ());
     ("sta_reduce", fun () -> sta_reduce ());
-    ("lint_scale", fun () -> lint_scale ()); ("verify", verify_bench) ]
+    ("lint_scale", fun () -> lint_scale ());
+    ("sta_linear", fun () -> sta_linear ()); ("verify", verify_bench) ]
 
 let all_in_order =
   [ fig7; fig12; fig14; fig15; table1; fig17_18; fig19; fig20_21; fig23;
@@ -1845,7 +1966,8 @@ let all_in_order =
     sta_batch; (fun () -> sta_parallel ()); (fun () -> sta_cache_bench ());
     (fun () -> sta_scale ()); (fun () -> sta_eco ());
     (fun () -> sta_corners ());
-    (fun () -> sta_reduce ()); (fun () -> lint_scale ()); verify_bench ]
+    (fun () -> sta_reduce ()); (fun () -> lint_scale ());
+    (fun () -> sta_linear ()); verify_bench ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1860,7 +1982,8 @@ let () =
     sta_eco ~smoke ();
     sta_corners ~smoke ();
     sta_reduce ~smoke ();
-    lint_scale ~smoke ()
+    lint_scale ~smoke ();
+    sta_linear ~smoke ()
   | [] ->
     Format.printf
       "AWEsim reproduction harness — every table and figure of the paper@.";
@@ -1876,6 +1999,7 @@ let () =
         | "sta_corners", _ -> sta_corners ~smoke ()
         | "sta_reduce", _ -> sta_reduce ~smoke ()
         | "lint_scale", _ -> lint_scale ~smoke ()
+        | "sta_linear", _ -> sta_linear ~smoke ()
         | _, Some f -> f ()
         | _, None ->
           Format.printf "unknown experiment %S; available:@." name;

@@ -412,42 +412,20 @@ let check_design_core (d : Sta.design) =
   let pis = Sta.primary_input_nets d in
   let pos = Sta.primary_output_nets d in
   let have_net n = Sta.net_segments d n <> None in
-  let pi_set = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace pi_set n ()) pis;
-  let is_pi n = Hashtbl.mem pi_set n in
-  (* all gates driving a net, in declaration order — the Hashtbl
-     replaces the old per-net List scans so the pass stays linear on
-     10k-net designs (the bench lint_scale gate) *)
-  let drivers = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      Dataflow.tick ();
-      Hashtbl.replace drivers g.Sta.gv_output
-        (g
-        :: Option.value
-             (Hashtbl.find_opt drivers g.Sta.gv_output)
-             ~default:[]))
-    (List.rev gates);
-  let has_driver n = Hashtbl.mem drivers n in
-  let drivers_of n =
-    Option.value (Hashtbl.find_opt drivers n) ~default:[]
+  let is_pi n = Sta.primary_input d n <> None in
+  (* drivers and sinks of a net in declaration order (one sink entry
+     per gate), from the design's connectivity index: constant work per
+     gate returned, so the pass stays linear on 10k-net designs (the
+     bench lint_scale gate) *)
+  let view (g : Sta.gate) =
+    { Sta.gv_inst = g.g_inst;
+      gv_cell = g.g_cell.Sta.cell_name;
+      gv_inputs = g.g_inputs;
+      gv_output = g.g_output }
   in
-  (* the sinks of each net, in declaration order, one entry per gate *)
-  let sinks = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      let seen = Hashtbl.create 4 in
-      List.iter
-        (fun n ->
-          Dataflow.tick ();
-          if not (Hashtbl.mem seen n) then begin
-            Hashtbl.replace seen n ();
-            Hashtbl.replace sinks n
-              (g :: Option.value (Hashtbl.find_opt sinks n) ~default:[])
-          end)
-        g.Sta.gv_inputs)
-    (List.rev gates);
-  let sinks_of n = Option.value (Hashtbl.find_opt sinks n) ~default:[] in
+  let has_driver n = Sta.driver_of d n <> None in
+  let drivers_of n = List.rev_map view (Sta.drivers_of d n) in
+  let sinks_of n = List.rev_map view (Sta.sinks_of d n) in
   (* every referenced net needs a wire model *)
   List.iter
     (fun g ->

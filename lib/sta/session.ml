@@ -6,10 +6,14 @@
    re-solves exactly the nets whose solve inputs changed, re-adds
    arrivals through the cone that actually moved (bitwise compare),
    and re-runs the min-plus backward pass over the same frontier.
-   Everything recomputed goes through the code paths a cold [analyze]
-   runs — same wave partition, same chunk bounds, frozen views,
-   per-chunk shards absorbed in chunk order — which is what makes the
-   bit-identity contract hold for every [jobs] value. *)
+   Both passes are worklists over the design's wave schedule: a re-time
+   visits the nets an edit touched and the nets a visited net's change
+   reaches, never the rest of the design.  Connectivity comes from the
+   design's index ([Timing.sinks_of] and friends); the session keeps no
+   copy of it.  Everything recomputed goes through the code paths a
+   cold [analyze] runs — same wave schedule, same chunk bounds, frozen
+   views, per-chunk shards absorbed in chunk order — which is what
+   makes the bit-identity contract hold for every [jobs] value. *)
 
 open Timing
 
@@ -33,12 +37,7 @@ type totals = {
   total_dirty : int;
   total_reused : int;
   total_fallbacks : int;
-}
-
-type gate_info = {
-  mutable gi_cell : cell;
-  mutable gi_inputs : string list;
-  gi_output : string;
+  total_visits : int;
 }
 
 (* What a net's last solve depended on (beyond upstream arrivals,
@@ -60,10 +59,12 @@ type t = {
   reduce : bool;
   jobs : int;
   mutable cache : cache;
-  gate_tbl : (string, gate_info) Hashtbl.t;
-  driver_tbl : (string, string) Hashtbl.t; (* net -> driving instance *)
-  mutable waves : string list list; (* sorted within each wave *)
+  level : (string, int) Hashtbl.t; (* net -> its wave in the schedule *)
+  mutable depth : int; (* number of waves *)
   mutable schedule_valid : bool;
+  fwd_seed : (string, unit) Hashtbl.t;
+      (* nets whose own solve inputs or arrival inputs an edit changed;
+         consumed by the next forward pass *)
   memo : (string, memo) Hashtbl.t;
   arrival : (string, float * float * float * string list) Hashtbl.t;
       (* net -> driver-pin rise, fall, slew, path (newest first), as
@@ -75,7 +76,7 @@ type t = {
          current [timed] sinks) and carry no report state *)
   req_driver : (string, float * float) Hashtbl.t;
   req_sink : (string * string, float * float) Hashtbl.t;
-  endpoint_req : (string, float) Hashtbl.t;
+  mutable endpoint_req : (string, float) Hashtbl.t;
   mutable endpoints_stale : bool;
   slack_by_net : (string, pin_slack list) Hashtbl.t;
   (* cache-key refcounts over live nets: entries are retired at zero
@@ -99,6 +100,7 @@ type t = {
   mutable tot_dirty : int;
   mutable tot_reused : int;
   mutable tot_fallbacks : int;
+  mutable tot_visits : int;
 }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
@@ -106,19 +108,9 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 let no_keys = { sk_exact = None; sk_pattern = None }
 
 let gate_of t inst =
-  match Hashtbl.find_opt t.gate_tbl inst with
-  | Some gi -> gi
+  match find_gate t.d inst with
+  | Some g -> g
   | None -> fail "unknown gate instance %s" inst
-
-let segments_of t net =
-  match net_segments t.d net with
-  | Some s -> s
-  | None -> fail "unknown net %s" net
-
-let sink_insts_of t net =
-  Hashtbl.fold
-    (fun inst gi acc -> if List.mem net gi.gi_inputs then inst :: acc else acc)
-    t.gate_tbl []
 
 let distinct nets = List.sort_uniq compare nets
 
@@ -129,76 +121,31 @@ let rec replace_first lst a b =
 
 (* --- schedule ----------------------------------------------------- *)
 
-(* Replicates [analyze]'s Kahn partition: a net is ready once all of
-   its driver gate's inputs retired in earlier waves; primary-input
-   nets are the roots.  Waves inherit the sorted order of the net
-   list, exactly like the partition over [arrival_at_net]. *)
+(* The wave of every net in [Timing.waves], the schedule [analyze]
+   runs.  Recomputed only after a topology edit. *)
 let compute_waves t =
-  let d = t.d in
-  let timed_mark : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let ready_p net =
-    if primary_input d net <> None then true
-    else
-      match Hashtbl.find_opt t.driver_tbl net with
-      | None -> false
-      | Some inst ->
-        let gi = Hashtbl.find t.gate_tbl inst in
-        (* a zero-input gate never fires in [analyze] (propagation is
-           sink-driven), so its output is never ready *)
-        gi.gi_inputs <> []
-        && List.for_all (fun inp -> Hashtbl.mem timed_mark inp) gi.gi_inputs
-  in
-  let remaining = ref (net_names d) in
-  let waves = ref [] in
-  let progress = ref true in
-  while !remaining <> [] && !progress do
-    progress := false;
-    let ready, blocked = List.partition ready_p !remaining in
-    if ready <> [] then begin
-      progress := true;
-      List.iter (fun n -> Hashtbl.replace timed_mark n ()) ready;
-      waves := ready :: !waves;
-      remaining := blocked
-    end
-  done;
-  if !remaining <> [] then raise (Not_a_dag !remaining);
-  t.waves <- List.rev !waves;
+  let waves = waves t.d in
+  Hashtbl.reset t.level;
+  List.iteri (fun i wave -> List.iter (fun n -> Hashtbl.replace t.level n i) wave) waves;
+  t.depth <- List.length waves;
   t.schedule_valid <- true
 
 (* --- forward-pass helpers ----------------------------------------- *)
 
 (* Pull-based arrival: the tuple [analyze]'s record phase pushes into
-   [arrival_at_net], recomputed from the (current) sink results of the
-   driver gate's inputs.  Same worst-input selection: strict [>] over
-   rise arrivals in input order, first wins. *)
-let compute_arrival t net =
-  match primary_input t.d net with
-  | Some (arr, slew) -> (arr, arr, slew, [ net ])
-  | None ->
-    let inst = Hashtbl.find t.driver_tbl net in
-    let gi = Hashtbl.find t.gate_tbl inst in
-    let worst, worst_net =
-      List.fold_left
-        (fun (acc, accn) inp ->
-          let s = Hashtbl.find t.sink_results (inp, inst) in
-          if s.arrival > acc then (s.arrival, inp) else (acc, accn))
-        (neg_infinity, "") gi.gi_inputs
-    in
-    let worst_sink = Hashtbl.find t.sink_results (worst_net, inst) in
-    let _, _, _, worst_path =
-      match Hashtbl.find_opt t.arrival worst_net with
-      | Some v -> v
-      | None -> (0., 0., 0., [])
-    in
-    ( worst +. gi.gi_cell.intrinsic,
-      worst_sink.arrival_fall +. gi.gi_cell.intrinsic,
-      worst_sink.sink_slew,
-      net :: worst_path )
-
-let driver_res_of t net =
-  match Hashtbl.find_opt t.driver_tbl net with
-  | Some inst -> (Hashtbl.find t.gate_tbl inst).gi_cell.drive_res
-  | None -> 1e-3 (* ideal primary input, as in [analyze] *)
+   [arrival_at_net] ({!Timing.arrival_through}), recomputed from the
+   current sink results of the driver [drv]'s inputs. *)
+let compute_arrival t net drv =
+  match (primary_input t.d net, drv) with
+  | Some (arr, slew), _ -> (arr, arr, slew, [ net ])
+  | None, None -> invalid_arg ("Session: net without driver " ^ net)
+  | None, Some g ->
+    arrival_through g ~init:""
+      ~sink:(fun inp -> Hashtbl.find t.sink_results (inp, g.g_inst))
+      ~path:(fun n ->
+        match Hashtbl.find_opt t.arrival n with
+        | Some (_, _, _, p) -> p
+        | None -> [])
 
 (* --- cache-key refcounting ---------------------------------------- *)
 
@@ -245,24 +192,13 @@ let retire_keys t (keys : solve_keys) =
    relative delays.  Returns whether the published record changed. *)
 let rebuild_net t net timings =
   let ar, af, _, _ = Hashtbl.find t.arrival net in
-  let sinks =
-    List.map
-      (fun (inst, delay, delay_fall, sink_slew) ->
-        { sink_inst = inst;
-          net_delay = delay;
-          net_delay_fall = delay_fall;
-          sink_slew;
-          arrival = ar +. delay;
-          arrival_fall = af +. delay_fall })
-      timings
-  in
-  let nt = { net_name = net; driver_arrival = ar; driver_arrival_fall = af; sinks } in
+  let nt = net_timing_of net (ar, af) timings in
   let changed =
     match Hashtbl.find_opt t.timed net with Some old -> old <> nt | None -> true
   in
   if changed then begin
     Hashtbl.replace t.timed net nt;
-    List.iter (fun st -> Hashtbl.replace t.sink_results (net, st.sink_inst) st) sinks
+    List.iter (fun st -> Hashtbl.replace t.sink_results (net, st.sink_inst) st) nt.sinks
   end;
   changed
 
@@ -273,16 +209,7 @@ let rebuild_net t net timings =
    primary outputs) and seed the backward pass with every net whose
    endpoint value changed, appeared, or disappeared. *)
 let rebuild_endpoints t =
-  let d = t.d in
-  let fresh : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (net, tt) -> Hashtbl.replace fresh net tt) (constraints d);
-  (match clock_period d with
-  | None -> ()
-  | Some period ->
-    List.iter
-      (fun net ->
-        if not (Hashtbl.mem fresh net) then Hashtbl.replace fresh net period)
-      (primary_output_nets d));
+  let fresh = endpoint_requirements t.d in
   Hashtbl.iter
     (fun net v ->
       match Hashtbl.find_opt t.endpoint_req net with
@@ -293,10 +220,30 @@ let rebuild_endpoints t =
     (fun net _ ->
       if not (Hashtbl.mem fresh net) then Hashtbl.replace t.req_seed net ())
     t.endpoint_req;
-  Hashtbl.reset t.endpoint_req;
-  Hashtbl.iter (fun net v -> Hashtbl.replace t.endpoint_req net v) fresh
+  t.endpoint_req <- fresh
 
 (* --- the re-time pass --------------------------------------------- *)
+
+(* Memoize a net's fresh solve: its inputs, timings and cache keys
+   (the new keys are claimed before the old ones are retired). *)
+let record_solve t net ~slew ~dres (timings, keys) =
+  let m =
+    match Hashtbl.find_opt t.memo net with
+    | Some m -> m
+    | None ->
+      let m =
+        { m_valid = false; m_slew = 0.; m_driver_res = 0.; m_timings = []; m_keys = no_keys }
+      in
+      Hashtbl.replace t.memo net m;
+      m
+  in
+  claim_keys t keys;
+  retire_keys t m.m_keys;
+  m.m_valid <- true;
+  m.m_slew <- slew;
+  m.m_driver_res <- dres;
+  m.m_timings <- timings;
+  m.m_keys <- keys
 
 let retime_now t =
   let d = t.d in
@@ -304,291 +251,183 @@ let retime_now t =
   if not t.schedule_valid then compute_waves t;
   let solved : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let timing_changed : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let dirty = ref 0 and reused = ref 0 in
+  let dirty = ref 0 and visits = ref 0 in
   let windows = ref [] in
-  (* forward: wave by wave, classify every net by pulling its arrival
-     tuple and memo inputs, batch-solve the dirty ones through the
-     exact chunked/sharded discipline of [analyze], and rebuild the
-     records of nets whose arrivals moved from the memo. *)
+  (* per-wave worklists: a net is pushed into its own wave's bucket,
+     and the buckets are drained in wave order (forward) or reverse
+     wave order (backward).  A full re-time seeds every net. *)
+  let buckets () = Array.make t.depth [] in
+  let push bucket net =
+    match Hashtbl.find_opt t.level net with
+    | Some l -> bucket.(l) <- net :: bucket.(l)
+    | None -> () (* not a declared net: nothing to time *)
+  in
+  let seed bucket extra =
+    if full then Hashtbl.iter (fun net _ -> push bucket net) t.level
+    else Hashtbl.iter (fun net () -> push bucket net) extra
+  in
+  let drain bucket w =
+    let wave = List.sort_uniq compare bucket.(w) in
+    bucket.(w) <- [];
+    visits := !visits + List.length wave;
+    wave
+  in
+  (* forward: wave by wave, classify every queued net by pulling its
+     arrival tuple and memo inputs, batch-solve the dirty ones through
+     [analyze]'s own wave solver, and rebuild the records of nets whose
+     arrivals moved from the memo.  A net whose arrival tuple or record
+     moved queues the outputs of its sink gates; a net left unqueued
+     would pull exactly its old values. *)
+  let options = { Awe.default_options with Awe.sparse = t.sparse } in
+  let fwd = buckets () in
+  seed fwd t.fwd_seed;
+  Hashtbl.reset t.fwd_seed;
   Parallel.with_pool ~jobs:t.jobs (fun pool ->
-      List.iter
-        (fun wave ->
-          let solves = ref [] and arith = ref [] in
+      for w = 0 to t.depth - 1 do
+        let solves = ref [] and arith = ref [] and moved = ref [] in
+        List.iter
+          (fun net ->
+            let drv = driver_of d net in
+            let tuple = compute_arrival t net drv in
+            let changed =
+              match Hashtbl.find_opt t.arrival net with
+              | Some old -> old <> tuple
+              | None -> true
+            in
+            if changed then begin
+              Hashtbl.replace t.arrival net tuple;
+              moved := net :: !moved
+            end;
+            let _, _, slew, _ = tuple in
+            let dres =
+              match drv with
+              | Some g -> g.g_cell.drive_res
+              | None -> 1e-3 (* ideal primary input, as in [analyze] *)
+            in
+            let need =
+              match Hashtbl.find_opt t.memo net with
+              | None -> true
+              | Some m ->
+                (not m.m_valid) || m.m_slew <> slew || m.m_driver_res <> dres
+            in
+            if need then solves := (net, dres, slew) :: !solves
+            else if changed then arith := net :: !arith)
+          (drain fwd w);
+        let rebuilt net timings =
+          if rebuild_net t net timings then begin
+            Hashtbl.replace timing_changed net ();
+            moved := net :: !moved
+          end
+        in
+        let solves = Array.of_list (List.rev !solves) in
+        solve_wave pool d ~model:t.model ~options ~reduce:t.reduce
+          ~cache:(Some t.cache)
+          ~window:(fun win -> windows := win :: !windows)
+          ~record:(fun k outcome ->
+            let net, dres, slew = solves.(k) in
+            match outcome with
+            | Error msg -> raise (Malformed msg)
+            | Ok ((timings, _) as r) ->
+              incr dirty;
+              Hashtbl.replace solved net ();
+              record_solve t net ~slew ~dres r;
+              rebuilt net timings)
+          solves;
+        List.iter
+          (fun net -> rebuilt net (Hashtbl.find t.memo net).m_timings)
+          (List.rev !arith);
+        if not full then
           List.iter
-            (fun net ->
-              let tuple = compute_arrival t net in
-              let changed =
-                match Hashtbl.find_opt t.arrival net with
-                | Some old -> old <> tuple
-                | None -> true
-              in
-              if changed then Hashtbl.replace t.arrival net tuple;
-              let _, _, slew, _ = tuple in
-              let dres = driver_res_of t net in
-              let need =
-                match Hashtbl.find_opt t.memo net with
-                | None -> true
-                | Some m ->
-                  (not m.m_valid) || m.m_slew <> slew || m.m_driver_res <> dres
-              in
-              if need then solves := (net, slew, dres) :: !solves
-              else if changed then arith := net :: !arith
-              else incr reused (* untouched: last result stands as-is *))
-            wave;
-          let solves = Array.of_list (List.rev !solves) in
-          let n = Array.length solves in
-          if n > 0 then begin
-            (* identical chunking, view freeze, shard and window
-               discipline to [analyze]'s wave loop *)
-            let view = cache_view t.cache in
-            let nchunks =
-              let j = Parallel.jobs pool in
-              if j <= 1 then 1 else Stdlib.min n j
-            in
-            let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
-            let labels =
-              Array.init nchunks (fun ci ->
-                  let net, _, _ = solves.(bounds.(ci)) in
-                  "net " ^ net)
-            in
-            let chunk_results =
-              Parallel.mapi
-                ~label:(fun ci -> labels.(ci))
-                pool
-                (fun ci () ->
-                  let lo = bounds.(ci) and hi = bounds.(ci + 1) in
-                  let shard = cache_shard () in
-                  Awe.Stats.scoped (fun () ->
-                      let outcomes = Array.make (hi - lo) (Error "") in
-                      for k = 0 to hi - lo - 1 do
-                        let net, slew, dres = solves.(lo + k) in
-                        labels.(ci) <- "net " ^ net;
-                        outcomes.(k) <-
-                          (match
-                             solve_net d ~model:t.model ~sparse:t.sparse
-                               ~reduce:t.reduce ~view:(Some view)
-                               ~shard:(Some shard) ~net ~driver_res:dres ~slew
-                           with
-                          | r -> Ok r
-                          | exception Malformed msg -> Error msg)
-                      done;
-                      (outcomes, shard)))
-                (Array.make nchunks ())
-            in
-            Array.iteri
-              (fun ci ((outcomes, shard), window) ->
-                windows := window :: !windows;
-                cache_absorb t.cache shard;
-                Array.iteri
-                  (fun k outcome ->
-                    let net, slew, dres = solves.(bounds.(ci) + k) in
-                    match outcome with
-                    | Error msg -> raise (Malformed msg)
-                    | Ok (timings, keys) ->
-                      incr dirty;
-                      Hashtbl.replace solved net ();
-                      let m =
-                        match Hashtbl.find_opt t.memo net with
-                        | Some m -> m
-                        | None ->
-                          let m =
-                            { m_valid = false;
-                              m_slew = 0.;
-                              m_driver_res = 0.;
-                              m_timings = [];
-                              m_keys = no_keys }
-                          in
-                          Hashtbl.replace t.memo net m;
-                          m
-                      in
-                      claim_keys t keys;
-                      retire_keys t m.m_keys;
-                      m.m_valid <- true;
-                      m.m_slew <- slew;
-                      m.m_driver_res <- dres;
-                      m.m_timings <- timings;
-                      m.m_keys <- keys;
-                      if rebuild_net t net timings then
-                        Hashtbl.replace timing_changed net ())
-                  outcomes)
-              chunk_results
-          end;
-          List.iter
-            (fun net ->
-              incr reused;
-              let m = Hashtbl.find t.memo net in
-              if rebuild_net t net m.m_timings then
-                Hashtbl.replace timing_changed net ())
-            (List.rev !arith))
-        t.waves);
+            (fun net -> List.iter (fun g -> push fwd g.g_output) (sinks_of d net))
+            (List.sort_uniq compare !moved)
+      done);
   if t.endpoints_stale then begin
     rebuild_endpoints t;
     t.endpoints_stale <- false
   end;
   (* backward: [analyze]'s min-plus pass over the dirty frontier.
-     Visits are seeded by re-solved nets, intrinsic/endpoint seeds,
-     and propagate upstream only while a net's driver requirement
-     actually changed (bitwise).  The recomputed values are the same
-     deterministic function [analyze] evaluates, so skipped nets hold
-     exactly the values a full pass would rewrite. *)
-  let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
-  let inf2 = (infinity, infinity) in
-  let changed_req : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+     Visits are seeded by re-solved nets and intrinsic/endpoint seeds,
+     and a net whose driver requirement actually changed (bitwise)
+     queues the inputs of its driver gate.  The recomputed values are
+     the same deterministic function [analyze] evaluates, so unvisited
+     nets hold exactly the values a full pass would rewrite. *)
   let slack_dirty : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let visit net =
     match Hashtbl.find_opt t.timed net with
-    | None -> ()
-    | Some nt ->
-      let ep2 =
-        match Hashtbl.find_opt t.endpoint_req net with
-        | Some tt -> (tt, tt)
-        | None -> inf2
+    | None -> false
+    | Some nt -> (
+      let sink_reqs, dr =
+        net_requirements d nt
+          ~endpoint:(Hashtbl.find_opt t.endpoint_req net)
+          ~req_driver:(Hashtbl.find_opt t.req_driver)
       in
-      let sink_reqs =
-        List.map
-          (fun st ->
-            let through =
-              match Hashtbl.find_opt t.gate_tbl st.sink_inst with
-              | None -> inf2
-              | Some gi -> (
-                match Hashtbl.find_opt t.req_driver gi.gi_output with
-                | None -> inf2
-                | Some (rr, rf) ->
-                  (rr -. gi.gi_cell.intrinsic, rf -. gi.gi_cell.intrinsic))
-            in
-            let rq = min2 ep2 through in
-            (match Hashtbl.find_opt t.req_sink (net, st.sink_inst) with
-            | Some old when old = rq -> ()
-            | _ ->
-              Hashtbl.replace t.req_sink (net, st.sink_inst) rq;
-              Hashtbl.replace slack_dirty net ());
-            (st, rq))
-          nt.sinks
-      in
-      let dr =
-        match sink_reqs with
-        | [] -> ep2
-        | _ ->
-          List.fold_left
-            (fun acc (st, (rr, rf)) ->
-              min2 acc (rr -. st.net_delay, rf -. st.net_delay_fall))
-            inf2 sink_reqs
-      in
-      (match Hashtbl.find_opt t.req_driver net with
-      | Some old when old = dr -> ()
+      List.iter
+        (fun (st, rq) ->
+          match Hashtbl.find_opt t.req_sink (net, st.sink_inst) with
+          | Some old when old = rq -> ()
+          | _ ->
+            Hashtbl.replace t.req_sink (net, st.sink_inst) rq;
+            Hashtbl.replace slack_dirty net ())
+        sink_reqs;
+      match Hashtbl.find_opt t.req_driver net with
+      | Some old when old = dr -> false
       | _ ->
         Hashtbl.replace t.req_driver net dr;
-        Hashtbl.replace changed_req net ();
-        Hashtbl.replace slack_dirty net ())
+        Hashtbl.replace slack_dirty net ();
+        true)
   in
-  List.iter
-    (fun wave ->
-      List.iter
-        (fun net ->
-          let need =
-            full
-            || Hashtbl.mem solved net
-            || Hashtbl.mem t.req_seed net
-            ||
-            match Hashtbl.find_opt t.timed net with
-            | None -> false
-            | Some nt ->
-              List.exists
-                (fun st ->
-                  match Hashtbl.find_opt t.gate_tbl st.sink_inst with
-                  | None -> false
-                  | Some gi -> Hashtbl.mem changed_req gi.gi_output)
-                nt.sinks
-          in
-          if need then visit net)
-        wave)
-    (List.rev t.waves);
+  let bwd = buckets () in
+  seed bwd solved;
+  seed bwd t.req_seed;
+  for w = t.depth - 1 downto 0 do
+    List.iter
+      (fun net ->
+        if visit net && not full then
+          match driver_of d net with
+          | Some g -> List.iter (push bwd) g.g_inputs
+          | None -> ())
+      (drain bwd w)
+  done;
   Hashtbl.reset t.req_seed;
-  (* slack entries: rebuilt per dirty net with [analyze]'s exact emit
-     logic; the global sort key (slack, net, pin) is unique per pin,
-     so assembling from per-net buckets reproduces the sorted list. *)
+  (* slack entries: rebuilt per dirty net with [analyze]'s exact
+     per-net function; the global sort key (slack, net, pin) is unique
+     per pin, so assembling from per-net buckets reproduces the sorted
+     list. *)
   let rebuild_slack net =
     match Hashtbl.find_opt t.timed net with
     | None -> Hashtbl.remove t.slack_by_net net
-    | Some nt ->
-      let entries = ref [] in
-      let emit ~pin ~transition ~arrival ~required =
-        entries :=
-          { sp_net = net;
-            sp_pin = pin;
-            sp_transition = transition;
-            sp_arrival = arrival;
-            sp_required = required;
-            sp_slack = required -. arrival }
-          :: !entries
-      in
-      let binding ~pin ~ar ~af (rr, rf) =
-        let sr = rr -. ar and sf = rf -. af in
-        if Float.is_finite sf && sf < sr then
-          emit ~pin ~transition:Fall ~arrival:af ~required:rf
-        else if Float.is_finite sr then
-          emit ~pin ~transition:Rise ~arrival:ar ~required:rr
-      in
-      (match nt.sinks with
-      | [] -> (
-        match Hashtbl.find_opt t.req_driver net with
-        | Some rq ->
-          binding ~pin:None ~ar:nt.driver_arrival ~af:nt.driver_arrival_fall rq
-        | None -> ())
-      | sinks ->
-        List.iter
-          (fun st ->
-            match Hashtbl.find_opt t.req_sink (net, st.sink_inst) with
-            | Some rq ->
-              binding ~pin:(Some st.sink_inst) ~ar:st.arrival
-                ~af:st.arrival_fall rq
-            | None -> ())
-          sinks);
-      if !entries = [] then Hashtbl.remove t.slack_by_net net
-      else Hashtbl.replace t.slack_by_net net !entries
+    | Some nt -> (
+      match
+        net_slacks nt ~req_driver:(Hashtbl.find_opt t.req_driver)
+          ~req_sink:(fun inst -> Hashtbl.find_opt t.req_sink (net, inst))
+      with
+      | [] -> Hashtbl.remove t.slack_by_net net
+      | entries -> Hashtbl.replace t.slack_by_net net entries)
   in
-  if full then List.iter (fun w -> List.iter rebuild_slack w) t.waves
+  if full then Hashtbl.iter (fun net _ -> rebuild_slack net) t.level
   else begin
     Hashtbl.iter (fun net () -> Hashtbl.replace slack_dirty net ()) timing_changed;
     Hashtbl.iter (fun net () -> rebuild_slack net) slack_dirty
   end;
   let slacks =
     Hashtbl.fold (fun _ entries acc -> List.rev_append entries acc) t.slack_by_net []
-    |> List.sort (fun a b ->
-           compare (a.sp_slack, a.sp_net, a.sp_pin) (b.sp_slack, b.sp_net, b.sp_pin))
+    |> sort_slacks
   in
   let worst_slack = match slacks with [] -> infinity | s :: _ -> s.sp_slack in
-  (* critical selection: same candidate order, same strict-[>]
-     tie-break as [analyze] *)
-  let critical_arrival, critical_net =
-    List.fold_left
-      (fun (acc, accn) net ->
-        match Hashtbl.find_opt t.timed net with
-        | None -> (acc, accn)
-        | Some nt ->
-          let worst =
-            List.fold_left
-              (fun m (s : sink_timing) -> Float.max m s.arrival)
-              nt.driver_arrival nt.sinks
-          in
-          if worst > acc then (worst, Some net) else (acc, accn))
-      (neg_infinity, None) (critical_candidates d)
-  in
-  let critical_path =
-    match critical_net with
-    | None -> []
-    | Some net -> (
-      match Hashtbl.find_opt t.arrival net with
-      | Some (_, _, _, path) -> List.rev path
-      | None -> [ net ])
+  let critical_arrival, critical_path =
+    critical d ~timed:(Hashtbl.find_opt t.timed) ~path:(fun net ->
+        Option.map (fun (_, _, _, p) -> p) (Hashtbl.find_opt t.arrival net))
   in
   let nets = List.filter_map (Hashtbl.find_opt t.timed) (net_names d) in
   let edits = t.pending in
-  Awe.Stats.record_eco ~edits ~dirty_nets:!dirty ~reused_nets:!reused
+  (* every scheduled net not re-solved kept its last solve *)
+  let reused = Hashtbl.length t.level - !dirty in
+  Awe.Stats.record_eco ~edits ~dirty_nets:!dirty ~reused_nets:reused
     ~full_fallbacks:0;
   t.tot_retimes <- t.tot_retimes + 1;
   t.tot_dirty <- t.tot_dirty + !dirty;
-  t.tot_reused <- t.tot_reused + !reused;
+  t.tot_reused <- t.tot_reused + reused;
+  t.tot_visits <- t.tot_visits + !visits;
   let stats = List.fold_left Awe.Stats.merge Awe.Stats.zero (List.rev !windows) in
   let stats =
     Awe.Stats.merge stats
@@ -596,7 +435,7 @@ let retime_now t =
         Awe.Stats.cache_bytes = cache_bytes t.cache;
         eco_edits = edits;
         eco_dirty_nets = !dirty;
-        eco_reused_nets = !reused }
+        eco_reused_nets = reused }
   in
   let report =
     { nets; critical_arrival; critical_path; slacks; worst_slack; failures = [];
@@ -607,65 +446,54 @@ let retime_now t =
 
 (* --- edits --------------------------------------------------------- *)
 
+(* the net's own stage changed: re-solve it at the next re-time *)
 let invalidate t net =
+  Hashtbl.replace t.fwd_seed net ();
   match Hashtbl.find_opt t.memo net with
   | Some m -> m.m_valid <- false
   | None -> ()
 
+(* Replace segment [index] of [net] by [f] of it; returns the old
+   segment.  Every current sink must stay attached. *)
+let edit_segment t net index f =
+  let segs =
+    match net_segments t.d net with Some s -> s | None -> fail "unknown net %s" net
+  in
+  if index < 0 || index >= List.length segs then
+    fail "net %s has no segment %d" net index;
+  let segments = List.mapi (fun i s -> if i = index then f s else s) segs in
+  List.iter
+    (fun g ->
+      if not (List.exists (fun s -> s.seg_to = g.g_inst) segments) then
+        fail "reroute would detach sink %s from net %s" g.g_inst net)
+    (sinks_of t.d net);
+  replace_net_segments t.d ~net ~segments;
+  invalidate t net;
+  List.nth segs index
+
 (* Validate-then-mutate; returns the inverse edit.  Raises [Malformed]
    without touching anything on a rejected edit: all validation reads
    come first, the [Timing] mutators themselves validate before
-   mutating, and the session-table updates after them cannot fail. *)
+   mutating, and the session-state updates after them cannot fail. *)
 let rec apply_edit t edit =
   match edit with
   | Set_resistance { net; index; value } ->
-    let segs = segments_of t net in
-    if index < 0 || index >= List.length segs then
-      fail "net %s has no segment %d" net index;
-    let old = (List.nth segs index).res in
-    let segments =
-      List.mapi (fun i s -> if i = index then { s with res = value } else s) segs
-    in
-    replace_net_segments t.d ~net ~segments;
-    invalidate t net;
-    Set_resistance { net; index; value = old }
+    let old = edit_segment t net index (fun s -> { s with res = value }) in
+    Set_resistance { net; index; value = old.res }
   | Set_capacitance { net; index; value } ->
-    let segs = segments_of t net in
-    if index < 0 || index >= List.length segs then
-      fail "net %s has no segment %d" net index;
-    let old = (List.nth segs index).cap in
-    let segments =
-      List.mapi (fun i s -> if i = index then { s with cap = value } else s) segs
-    in
-    replace_net_segments t.d ~net ~segments;
-    invalidate t net;
-    Set_capacitance { net; index; value = old }
+    let old = edit_segment t net index (fun s -> { s with cap = value }) in
+    Set_capacitance { net; index; value = old.cap }
   | Reroute { net; index; seg_from; seg_to } ->
-    let segs = segments_of t net in
-    if index < 0 || index >= List.length segs then
-      fail "net %s has no segment %d" net index;
-    let old = List.nth segs index in
-    let segments =
-      List.mapi
-        (fun i s -> if i = index then { s with seg_from; seg_to } else s)
-        segs
-    in
-    List.iter
-      (fun inst ->
-        if not (List.exists (fun s -> s.seg_to = inst) segments) then
-          fail "reroute would detach sink %s from net %s" inst net)
-      (sink_insts_of t net);
-    replace_net_segments t.d ~net ~segments;
-    invalidate t net;
+    let old = edit_segment t net index (fun s -> { s with seg_from; seg_to }) in
     Reroute { net; index; seg_from = old.seg_from; seg_to = old.seg_to }
   | Swap_sink { inst; from_net; to_net } ->
-    let gi = gate_of t inst in
-    if not (List.mem from_net gi.gi_inputs) then
+    let g = gate_of t inst in
+    if not (List.mem from_net g.g_inputs) then
       fail "gate %s has no input pin on net %s" inst from_net;
-    let inputs = replace_first gi.gi_inputs from_net to_net in
+    let inputs = replace_first g.g_inputs from_net to_net in
     apply_edit t (Set_inputs { inst; inputs })
   | Set_inputs { inst; inputs } ->
-    let gi = gate_of t inst in
+    let g = gate_of t inst in
     if inputs = [] then fail "gate %s has no inputs" inst;
     List.iter
       (fun net ->
@@ -675,49 +503,45 @@ let rec apply_edit t edit =
           if not (List.exists (fun s -> s.seg_to = inst) segs) then
             fail "net %s has no segment reaching sink %s" net inst)
       inputs;
-    let old = gi.gi_inputs in
+    let old = g.g_inputs in
     set_gate_inputs t.d ~inst ~inputs;
-    gi.gi_inputs <- inputs;
-    (* nets whose sink membership changed get a new stage circuit *)
+    (* nets whose sink membership changed get a new stage circuit; the
+       gate's output pulls its arrival from the new inputs *)
     let removed = List.filter (fun n -> not (List.mem n inputs)) (distinct old) in
     let added = List.filter (fun n -> not (List.mem n old)) (distinct inputs) in
     List.iter (invalidate t) (removed @ added);
+    Hashtbl.replace t.fwd_seed g.g_output ();
     if removed <> [] || added <> [] then t.schedule_valid <- false;
     Set_inputs { inst; inputs = old }
   | Set_drive { inst; value } ->
-    let gi = gate_of t inst in
+    let g = gate_of t inst in
     if not (Float.is_finite value && value > 0.) then
       fail "gate %s: drive resistance must be positive" inst;
-    let old = gi.gi_cell.drive_res in
-    let cell = { gi.gi_cell with drive_res = value } in
-    set_gate_cell t.d ~inst ~cell;
-    gi.gi_cell <- cell;
-    invalidate t gi.gi_output;
+    let old = g.g_cell.drive_res in
+    set_gate_cell t.d ~inst ~cell:{ g.g_cell with drive_res = value };
+    invalidate t g.g_output;
     Set_drive { inst; value = old }
   | Set_pin_cap { inst; value } ->
-    let gi = gate_of t inst in
+    let g = gate_of t inst in
     if not (Float.is_finite value && value >= 0.) then
       fail "gate %s: input pin capacitance must be non-negative" inst;
-    let old = gi.gi_cell.input_cap in
-    let cell = { gi.gi_cell with input_cap = value } in
-    set_gate_cell t.d ~inst ~cell;
-    gi.gi_cell <- cell;
-    List.iter (invalidate t) (distinct gi.gi_inputs);
+    let old = g.g_cell.input_cap in
+    set_gate_cell t.d ~inst ~cell:{ g.g_cell with input_cap = value };
+    List.iter (invalidate t) (distinct g.g_inputs);
     Set_pin_cap { inst; value = old }
   | Set_intrinsic { inst; value } ->
-    let gi = gate_of t inst in
+    let g = gate_of t inst in
     if not (Float.is_finite value && value >= 0.) then
       fail "gate %s: intrinsic delay must be non-negative" inst;
-    let old = gi.gi_cell.intrinsic in
-    let cell = { gi.gi_cell with intrinsic = value } in
-    set_gate_cell t.d ~inst ~cell;
-    gi.gi_cell <- cell;
-    (* no re-solve: the intrinsic enters arrivals (pulled bitwise by
-       the forward sweep) and the backward through-requirement at the
-       gate's input nets, which must be re-visited *)
+    let old = g.g_cell.intrinsic in
+    set_gate_cell t.d ~inst ~cell:{ g.g_cell with intrinsic = value };
+    (* no re-solve: the intrinsic enters the output's arrival (pulled
+       bitwise by the forward pass) and the backward through-requirement
+       at the gate's input nets, which must be re-visited *)
+    Hashtbl.replace t.fwd_seed g.g_output ();
     List.iter
       (fun n -> Hashtbl.replace t.req_seed n ())
-      (distinct gi.gi_inputs);
+      (distinct g.g_inputs);
     Set_intrinsic { inst; value = old }
   | Set_constraint { net; required } ->
     let old = List.assoc_opt net (constraints t.d) in
@@ -760,6 +584,7 @@ let reset_analysis t =
   Hashtbl.reset t.exact_refs;
   Hashtbl.reset t.pattern_refs;
   Hashtbl.reset t.req_seed;
+  Hashtbl.reset t.fwd_seed;
   t.cache <- create_cache ();
   t.schedule_valid <- false;
   t.endpoints_stale <- true;
@@ -830,16 +655,20 @@ let create ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(reduce = true)
     (d : design) =
   if jobs < 0 then
     invalid_arg "Sta.Session.create: jobs must be non-negative";
-  let details = gate_details d in
-  (* same upfront reference validation as [analyze], same order *)
+  check_references d;
+  (* one driver per net (the first gate in declaration order that
+     redrives a net is named, with the net's first driver), and no
+     driven primary input *)
   List.iter
-    (fun (inst, _cell, inputs, output) ->
-      List.iter
-        (fun net ->
-          if net_segments d net = None then
-            fail "gate %s references unknown net %s" inst net)
-        (output :: inputs))
-    details;
+    (fun (inst, _cell, _inputs, output) ->
+      (match List.rev (drivers_of d output) with
+      | first :: _ when first.g_inst <> inst ->
+        fail "net %s is driven by both %s and %s" output first.g_inst inst
+      | _ -> ());
+      if primary_input d output <> None then
+        fail "net %s is both a primary input and the output of gate %s" output
+          inst)
+    (gate_details d);
   let t =
     { d;
       model;
@@ -847,10 +676,10 @@ let create ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(reduce = true)
       reduce;
       jobs;
       cache = create_cache ();
-      gate_tbl = Hashtbl.create 256;
-      driver_tbl = Hashtbl.create 256;
-      waves = [];
+      level = Hashtbl.create 256;
+      depth = 0;
       schedule_valid = false;
+      fwd_seed = Hashtbl.create 16;
       memo = Hashtbl.create 256;
       arrival = Hashtbl.create 256;
       timed = Hashtbl.create 256;
@@ -872,20 +701,9 @@ let create ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(reduce = true)
       tot_retimes = 0;
       tot_dirty = 0;
       tot_reused = 0;
-      tot_fallbacks = 0 }
+      tot_fallbacks = 0;
+      tot_visits = 0 }
   in
-  List.iter
-    (fun (inst, cell, inputs, output) ->
-      (match Hashtbl.find_opt t.driver_tbl output with
-      | Some other -> fail "net %s is driven by both %s and %s" output other inst
-      | None -> ());
-      if primary_input d output <> None then
-        fail "net %s is both a primary input and the output of gate %s" output
-          inst;
-      Hashtbl.replace t.driver_tbl output inst;
-      Hashtbl.replace t.gate_tbl inst
-        { gi_cell = cell; gi_inputs = inputs; gi_output = output })
-    details;
   ignore (retime_now t);
   commit t;
   t
@@ -903,4 +721,5 @@ let totals t =
     total_retimes = t.tot_retimes;
     total_dirty = t.tot_dirty;
     total_reused = t.tot_reused;
-    total_fallbacks = t.tot_fallbacks }
+    total_fallbacks = t.tot_fallbacks;
+    total_visits = t.tot_visits }

@@ -1,8 +1,8 @@
 (** Incremental ECO timing sessions.
 
-    A session loads a design once — connectivity tables, Kahn wave
-    schedule, full initial analysis against a private structure cache
-    — then accepts a stream of typed {!edit}s and re-times only the
+    A session loads a design once — Kahn wave schedule, full initial
+    analysis against a private structure cache; connectivity is read
+    from the design's own index ({!Timing.sinks_of}) — then accepts a stream of typed {!edit}s and re-times only the
     {e dirty cone}: a net is re-solved exactly when its own content
     changed (wire values or topology, sink pin caps, driver strength)
     or its input slew changed bitwise; everything else is served from
@@ -62,6 +62,10 @@ type totals = {
       (** nets whose solve was reused: untouched, or re-timed from the
           memo by arrival arithmetic alone *)
   total_fallbacks : int;  (** full fallbacks taken *)
+  total_visits : int;
+      (** net visits by the re-time passes, forward plus backward: the
+          size of the dirty cones the re-times walked (a full re-time
+          visits every net twice) *)
 }
 
 type t
@@ -73,7 +77,7 @@ val create :
   ?reduce:bool ->
   Timing.design ->
   t
-(** Load a design: build connectivity tables and the wave schedule,
+(** Load a design: build the wave schedule from the design's index,
     then run the full initial analysis (a cold [analyze] against the
     session's fresh cache).  The session owns the design — callers
     must not mutate it behind the session's back.  Raises what

@@ -22,19 +22,38 @@ type segment = { seg_from : string; seg_to : string; res : float; cap : float }
 
 type delay_model = Elmore_model | Awe_model of int | Awe_auto
 
+(* A gate record is shared by the design's gate list and every index
+   entry that names it, so the cell and input edits below mutate it in
+   place.  [g_seq] is the declaration rank (0 for the first gate): it
+   keeps the index's sink lists in declaration order across edits. *)
 type gate = {
-  inst : string;
-  cell : cell;
-  inputs : string list; (* net names *)
-  output : string; (* net name *)
+  g_inst : string;
+  mutable g_cell : cell;
+  mutable g_inputs : string list; (* net names *)
+  g_output : string; (* net name *)
+  g_seq : int;
 }
 
 type pi = { pi_arrival : float; pi_slew : float }
 
+(* One net's entry in the connectivity index. *)
+type conn = {
+  mutable c_sinks : gate list;
+      (* gates listing the net among their inputs: newest declared
+         first, one entry per gate even when it lists the net twice *)
+  mutable c_drivers : gate list; (* gates driving the net, newest first *)
+  mutable c_po : bool; (* declared primary output *)
+}
+
 type design = {
   vdd : float;
   threshold : float;
-  mutable gates : gate list;
+  mutable gates : gate list; (* newest first *)
+  by_inst : (string, gate) Hashtbl.t;
+  conns : (string, conn) Hashtbl.t;
+      (* every net a gate or output card names, declared or not *)
+  mutable sorted_nets : string array option;
+      (* declared nets, sorted; dropped by [add_net], rebuilt on demand *)
   nets : (string, segment list) Hashtbl.t;
   pis : (string, pi) Hashtbl.t;
   mutable pos : string list;
@@ -62,6 +81,9 @@ let create ?(vdd = 5.) ?(threshold = 0.5) () =
   { vdd;
     threshold;
     gates = [];
+    by_inst = Hashtbl.create 16;
+    conns = Hashtbl.create 16;
+    sorted_nets = None;
     nets = Hashtbl.create 16;
     pis = Hashtbl.create 4;
     pos = [];
@@ -70,14 +92,81 @@ let create ?(vdd = 5.) ?(threshold = 0.5) () =
     clock = None;
     clock_ln = None }
 
+(* --- the connectivity index ----------------------------------------
+   Built as the design is built and kept current by every mutator, in
+   time proportional to the edited gate's pins.  Lookups charge the
+   gate records they hand out to a process-wide work counter (atomic,
+   so the total is the same for any [jobs]); the linearity gates in
+   the bench read it. *)
+
+let work = Atomic.make 0
+
+let tick n = if n > 0 then ignore (Atomic.fetch_and_add work n)
+
+let connectivity_work () = Atomic.get work
+
+let reset_connectivity_work () = Atomic.set work 0
+
+let conn (d : design) net =
+  match Hashtbl.find_opt d.conns net with
+  | Some c -> c
+  | None ->
+    let c = { c_sinks = []; c_drivers = []; c_po = false } in
+    Hashtbl.replace d.conns net c;
+    c
+
+let ticked gates =
+  tick (List.length gates);
+  gates
+
+let sinks_of (d : design) net =
+  match Hashtbl.find_opt d.conns net with Some c -> ticked c.c_sinks | None -> []
+
+let drivers_of (d : design) net =
+  match Hashtbl.find_opt d.conns net with Some c -> ticked c.c_drivers | None -> []
+
+let driver_of d net = match drivers_of d net with g :: _ -> Some g | [] -> None
+
+let find_gate (d : design) inst =
+  Option.map (fun g -> tick 1; g) (Hashtbl.find_opt d.by_inst inst)
+
+let sorted_nets (d : design) =
+  match d.sorted_nets with
+  | Some a -> a
+  | None ->
+    let a = Array.of_seq (Hashtbl.to_seq_keys d.nets) in
+    Array.sort compare a;
+    d.sorted_nets <- Some a;
+    a
+
 let add_gate (d : design) ~inst ~cell ~inputs ~output =
-  if List.exists (fun g -> g.inst = inst) d.gates then
+  if Hashtbl.mem d.by_inst inst then
     malformed "duplicate gate instance %s" inst;
-  d.gates <- { inst; cell; inputs; output } :: d.gates
+  let g =
+    { g_inst = inst;
+      g_cell = cell;
+      g_inputs = inputs;
+      g_output = output;
+      g_seq = Hashtbl.length d.by_inst }
+  in
+  d.gates <- g :: d.gates;
+  Hashtbl.replace d.by_inst inst g;
+  (* the newest gate heads every list it joins; a net listed twice is
+     already headed by [g] on its second visit *)
+  List.iter
+    (fun net ->
+      let c = conn d net in
+      match c.c_sinks with
+      | h :: _ when h == g -> ()
+      | l -> c.c_sinks <- g :: l)
+    inputs;
+  let c = conn d output in
+  c.c_drivers <- g :: c.c_drivers
 
 let add_net (d : design) ~name ~segments =
   if Hashtbl.mem d.nets name then malformed "duplicate net %s" name;
-  Hashtbl.replace d.nets name segments
+  Hashtbl.replace d.nets name segments;
+  d.sorted_nets <- None
 
 let add_primary_input (d : design) ~net ?(arrival = 0.) ?(slew = 0.) () =
   if Hashtbl.mem d.pis net then malformed "duplicate primary input %s" net;
@@ -88,7 +177,9 @@ let add_primary_input (d : design) ~net ?(arrival = 0.) ?(slew = 0.) () =
   Hashtbl.replace d.pis net { pi_arrival = arrival; pi_slew = slew }
 
 let add_primary_output (d : design) ~net =
-  if List.mem net d.pos then malformed "duplicate primary output %s" net;
+  let c = conn d net in
+  if c.c_po then malformed "duplicate primary output %s" net;
+  c.c_po <- true;
   d.pos <- net :: d.pos
 
 let add_constraint ?line (d : design) ~net ~required =
@@ -122,10 +213,11 @@ let constraints (d : design) =
 
 (* --- in-place edits (the Session layer's vocabulary) ---------------
    Each mutator validates first and only then mutates, so a rejected
-   edit leaves the design untouched.  [update_gate] maps over the gate
-   list in place of the edited record: gate order is load-bearing
-   (sink order, DAG edge order, worst-input tie-breaks all follow
-   declaration order), so edits must never reorder it. *)
+   edit leaves the design untouched.  Gate edits mutate the shared
+   record in place: gate order is load-bearing (sink order, DAG edge
+   order, worst-input tie-breaks all follow declaration order), so
+   edits never reorder the gate list, and an input edit re-inserts the
+   gate into a sink list at its declaration rank. *)
 
 let validate_segments net segments =
   if segments = [] then malformed "net %s has no segments" net;
@@ -142,27 +234,33 @@ let replace_net_segments (d : design) ~net ~segments =
   validate_segments net segments;
   Hashtbl.replace d.nets net segments
 
-let update_gate (d : design) ~inst f =
-  let found = ref false in
-  let gates =
-    List.map
-      (fun g ->
-        if g.inst = inst then begin
-          found := true;
-          f g
-        end
-        else g)
-      d.gates
-  in
-  if not !found then malformed "unknown gate instance %s" inst;
-  d.gates <- gates
+let gate_exn (d : design) inst =
+  match Hashtbl.find_opt d.by_inst inst with
+  | Some g -> g
+  | None -> malformed "unknown gate instance %s" inst
 
-let set_gate_cell (d : design) ~inst ~cell =
-  update_gate d ~inst (fun g -> { g with cell })
+let set_gate_cell (d : design) ~inst ~cell = (gate_exn d inst).g_cell <- cell
 
 let set_gate_inputs (d : design) ~inst ~inputs =
   if inputs = [] then malformed "gate %s has no inputs" inst;
-  update_gate d ~inst (fun g -> { g with inputs })
+  let g = gate_exn d inst in
+  let old = g.g_inputs in
+  List.iter
+    (fun net ->
+      if not (List.mem net inputs) then
+        let c = conn d net in
+        c.c_sinks <- List.filter (fun h -> h != g) c.c_sinks)
+    old;
+  let rec insert = function
+    | h :: tl when h.g_seq > g.g_seq -> h :: insert tl
+    | l -> g :: l
+  in
+  List.iter
+    (fun net ->
+      let c = conn d net in
+      if not (List.memq g c.c_sinks) then c.c_sinks <- insert c.c_sinks)
+    inputs;
+  g.g_inputs <- inputs
 
 let set_required (d : design) ~net ~required =
   match required with
@@ -189,7 +287,7 @@ let primary_input (d : design) net =
     (Hashtbl.find_opt d.pis net)
 
 let gate_details (d : design) =
-  List.rev_map (fun g -> (g.inst, g.cell, g.inputs, g.output)) d.gates
+  List.rev_map (fun g -> (g.g_inst, g.g_cell, g.g_inputs, g.g_output)) d.gates
 
 type transition = Rise | Fall
 
@@ -262,14 +360,13 @@ type gate_view = {
 let gate_views (d : design) =
   List.rev_map
     (fun g ->
-      { gv_inst = g.inst;
-        gv_cell = g.cell.cell_name;
-        gv_inputs = g.inputs;
-        gv_output = g.output })
+      { gv_inst = g.g_inst;
+        gv_cell = g.g_cell.cell_name;
+        gv_inputs = g.g_inputs;
+        gv_output = g.g_output })
     d.gates
 
-let net_names (d : design) =
-  Hashtbl.fold (fun k _ acc -> k :: acc) d.nets [] |> List.sort compare
+let net_names (d : design) = Array.to_list (sorted_nets d)
 
 let net_segments (d : design) net = Hashtbl.find_opt d.nets net
 
@@ -279,23 +376,16 @@ let primary_input_nets (d : design) =
 let primary_output_nets (d : design) = List.rev d.pos
 
 let gate_cells (d : design) =
-  List.rev_map (fun g -> (g.inst, g.cell)) d.gates
-
-(* the sinks of a net are the gates listing it among their inputs *)
-let sinks_of (d : design) net = List.filter (fun g -> List.mem net g.inputs) d.gates
+  List.rev_map (fun g -> (g.g_inst, g.g_cell)) d.gates
 
 (* The candidate-net enumeration the critical-arrival fold runs over.
    Selection is by strict [>], first-seen wins, so the order is part of
    the tie-break contract: primary outputs in raw (newest-first)
    declaration order, or every declared net in the net table's
-   enumeration order when none are marked.  Exposed so the Session
-   layer's incremental critical recomputation ties exactly like
-   [analyze]. *)
+   enumeration order when none are marked ({!critical}). *)
 let critical_candidates (d : design) =
   if d.pos = [] then Hashtbl.fold (fun k _ acc -> k :: acc) d.nets []
   else d.pos
-
-let driver_of (d : design) net = List.find_opt (fun g -> g.output = net) d.gates
 
 (* --- the net-level timing DAG, exported for fixpoint passes -------- *)
 
@@ -316,47 +406,86 @@ module Dag = struct
 
   let of_design (d : design) =
     let names = Hashtbl.create 64 in
-    let add n = if not (Hashtbl.mem names n) then Hashtbl.replace names n () in
-    Hashtbl.iter (fun n _ -> add n) d.nets;
-    Hashtbl.iter (fun n _ -> add n) d.pis;
-    List.iter add d.pos;
-    Hashtbl.iter (fun n _ -> add n) d.required;
-    List.iter
-      (fun g ->
-        add g.output;
-        List.iter add g.inputs)
-      d.gates;
-    let nets =
-      Hashtbl.fold (fun k () acc -> k :: acc) names []
-      |> List.sort compare |> Array.of_list
-    in
+    let add n _ = Hashtbl.replace names n () in
+    Hashtbl.iter add d.nets;
+    Hashtbl.iter add d.pis;
+    Hashtbl.iter add d.required;
+    (* every current gate pin and output card *)
+    Hashtbl.iter
+      (fun n c -> if c.c_sinks <> [] || c.c_drivers <> [] || c.c_po then add n ())
+      d.conns;
+    let nets = Array.of_seq (Hashtbl.to_seq_keys names) in
+    Array.sort compare nets;
     let index_tbl = Hashtbl.create (Array.length nets) in
     Array.iteri (fun i n -> Hashtbl.replace index_tbl n i) nets;
-    let n = Array.length nets in
-    let succ_lists = Array.make n [] and pred_lists = Array.make n [] in
-    List.iter
-      (fun g ->
-        let oi = Hashtbl.find index_tbl g.output in
-        (* one edge per distinct input net, even when a gate lists a
-           net on several pins *)
-        let seen = Hashtbl.create 4 in
-        List.iter
-          (fun inp ->
-            if not (Hashtbl.mem seen inp) then begin
-              Hashtbl.replace seen inp ();
-              let ii = Hashtbl.find index_tbl inp in
-              succ_lists.(ii) <- oi :: succ_lists.(ii);
-              pred_lists.(oi) <- ii :: pred_lists.(oi)
-            end)
-          g.inputs)
-      (List.rev d.gates);
+    let idx n = Hashtbl.find index_tbl n in
+    let rec distinct = function
+      | [] -> []
+      | x :: tl -> x :: distinct (List.filter (( <> ) x) tl)
+    in
+    (* edges in gate declaration order: one from each distinct input
+       net of a gate to its output, even when a gate lists a net on
+       several pins *)
+    let edges f = Array.map (fun net -> Array.of_list (f net)) nets in
     { nets;
       index_tbl;
-      succs = Array.map (fun l -> Array.of_list (List.rev l)) succ_lists;
-      preds = Array.map (fun l -> Array.of_list (List.rev l)) pred_lists }
+      succs = edges (fun net -> List.rev_map (fun g -> idx g.g_output) (sinks_of d net));
+      preds =
+        edges (fun net ->
+            List.concat_map
+              (fun g -> List.map idx (distinct g.g_inputs))
+              (List.rev (drivers_of d net))) }
 
   let index t net = Hashtbl.find_opt t.index_tbl net
 end
+
+(* --- the wave schedule ----------------------------------------------
+   Kahn's algorithm with per-gate counters of input pins not yet
+   retired.  Wave 0 is the declared primary-input nets; a gate fires
+   when the last of its inputs retires, and its output joins the next
+   wave unless it was scheduled already (a primary input, or fired by
+   another driver).  A gate with no inputs never fires.  Each wave is
+   sorted.  [run] times one wave and returns the nets of it that
+   retired: [analyze] retires only the nets it timed, so everything
+   downstream of a failed net stays unscheduled.  Returns the nets
+   never scheduled, sorted.  Work is linear in pins plus the sorts. *)
+let kahn (d : design) ~run =
+  let sorted = sorted_nets d in
+  let pending = Array.make (Hashtbl.length d.by_inst) 0 in
+  List.iter (fun g -> pending.(g.g_seq) <- List.length g.g_inputs) d.gates;
+  let scheduled = Hashtbl.create (Array.length sorted) in
+  let schedule acc net =
+    if Hashtbl.mem d.nets net && not (Hashtbl.mem scheduled net) then begin
+      Hashtbl.replace scheduled net ();
+      net :: acc
+    end
+    else acc
+  in
+  let retire acc net =
+    List.fold_left
+      (fun acc g ->
+        List.iter
+          (fun inp -> if inp = net then pending.(g.g_seq) <- pending.(g.g_seq) - 1)
+          g.g_inputs;
+        if pending.(g.g_seq) = 0 then schedule acc g.g_output else acc)
+      acc (sinks_of d net)
+  in
+  let rec loop = function
+    | [] -> ()
+    | wave -> loop (List.sort compare (List.fold_left retire [] (run wave)))
+  in
+  Array.fold_left
+    (fun acc net -> if Hashtbl.mem d.pis net then schedule acc net else acc)
+    [] sorted
+  |> List.rev |> loop;
+  List.filter (fun net -> not (Hashtbl.mem scheduled net)) (Array.to_list sorted)
+
+let waves (d : design) =
+  let acc = ref [] in
+  let record wave = acc := wave :: !acc; wave in
+  match kahn d ~run:record with
+  | [] -> List.rev !acc
+  | remaining -> raise (Not_a_dag remaining)
 
 let net_circuit (d : design) ~net ~driver_res ~slew =
   let segments =
@@ -388,15 +517,15 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
     (fun i g ->
       (* a sink attaches at the net node named after the instance *)
       let attached =
-        List.exists (fun seg -> seg.seg_to = g.inst) segments
+        List.exists (fun seg -> seg.seg_to = g.g_inst) segments
       in
       if not attached then
-        malformed "net %s has no segment reaching sink %s" net g.inst;
-      if g.cell.input_cap > 0. then
+        malformed "net %s has no segment reaching sink %s" net g.g_inst;
+      if g.g_cell.input_cap > 0. then
         Circuit.Netlist.add_c b
           (Printf.sprintf "cpin%d" i)
-          g.inst "0" g.cell.input_cap;
-      sink_nodes := (g.inst, Circuit.Netlist.node b g.inst) :: !sink_nodes)
+          g.g_inst "0" g.g_cell.input_cap;
+      sink_nodes := (g.g_inst, Circuit.Netlist.node b g.g_inst) :: !sink_nodes)
     (sinks_of d net);
   (Circuit.Netlist.freeze b, List.rev !sink_nodes)
 
@@ -775,12 +904,6 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
             | _ -> ()));
           (timings, keys)))
 
-let net_sink_timings (d : design) ~model ~options ~reduce ~view ~shard ~net
-    ~driver_res ~slew =
-  fst
-    (net_sink_timings_keyed d ~model ~options ~reduce ~view ~shard ~net
-       ~driver_res ~slew)
-
 (* The Session layer's entry to the per-net solver: identical to what
    [analyze] runs per net (same options derivation, same cache
    discipline), plus the cache keys the lookup used so the session can
@@ -791,19 +914,237 @@ let solve_net (d : design) ~model ~sparse ~reduce ~view ~shard ~net ~driver_res
   net_sink_timings_keyed d ~model ~options ~reduce ~view ~shard ~net
     ~driver_res ~slew
 
-let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
-    ?(reduce = true) ?cache (d : design) =
-  let options = { Awe.default_options with Awe.sparse } in
-  (* topological order over nets *)
-  let gates = List.rev d.gates in
+(* Solve one wave's [(net, driver_res, slew)] entries, which must be in
+   sorted net order, for [analyze] and the Session layer alike.  The
+   wave is split into contiguous chunks, one task per pool slot (not
+   per net), so dispatch, DLS window and cache-shard overhead amortize
+   over many solves; tasks process their range in ascending order, so
+   each shard's publication log is a contiguous slice of the
+   sequential publication order.  The cache view is frozen once for
+   the wave: every task — on any domain, in any order — sees exactly
+   the entries published by earlier waves, so lookups, counters and
+   numeric results are independent of scheduling and of [jobs].  Back
+   on the calling domain, chunk by chunk in order: [window] receives
+   the chunk's stats window (integer sums commute, so merged counters
+   are independent of the chunking), the chunk's shard is absorbed
+   (replaying publications in exactly the sorted net order a
+   sequential sweep publishes in, first-wins), then [record] receives
+   each of its outcomes by wave position. *)
+let solve_wave pool (d : design) ~model ~options ~reduce ~cache ~window ~record
+    wave =
+  let n = Array.length wave in
+  if n > 0 then begin
+    let view = Option.map Awe.Cache.view cache in
+    let nchunks =
+      let j = Parallel.jobs pool in
+      if j <= 1 then 1 else Stdlib.min n j
+    in
+    let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
+    (* per-chunk failure label, updated as the chunk advances so an
+       unexpected exception is attributed to the exact net it escaped
+       from (each task writes only its own slot; the funnel reads after
+       the map's final hand-off) *)
+    let labels =
+      Array.init nchunks (fun ci ->
+          let net, _, _ = wave.(bounds.(ci)) in
+          "net " ^ net)
+    in
+    let chunk_results =
+      Parallel.mapi
+        ~label:(fun ci -> labels.(ci))
+        pool
+        (fun ci () ->
+          let lo = bounds.(ci) and hi = bounds.(ci + 1) in
+          (* private shard: wave-local publications accumulate here,
+             lock-free, and intra-chunk duplicates of one template are
+             served instead of recomputed *)
+          let shard = Option.map (fun _ -> Awe.Cache.Shard.create ()) view in
+          Awe.Stats.scoped (fun () ->
+              Array.init (hi - lo) (fun k ->
+                  let net, driver_res, slew = wave.(lo + k) in
+                  labels.(ci) <- "net " ^ net;
+                  match
+                    net_sink_timings_keyed d ~model ~options ~reduce ~view
+                      ~shard ~net ~driver_res ~slew
+                  with
+                  | r -> Ok r
+                  | exception Malformed msg -> Error msg),
+              shard))
+        (Array.make nchunks ())
+    in
+    Array.iteri
+      (fun ci ((outcomes, shard), w) ->
+        window w;
+        (match (cache, shard) with
+        | Some c, Some sh -> Awe.Cache.absorb c sh
+        | _ -> ());
+        Array.iteri (fun k o -> record (bounds.(ci) + k) o) outcomes)
+      chunk_results
+  end
+
+(* A net's published record: absolute sink arrivals from the
+   driver-pin (rise, fall) arrivals plus each sink's wire delays. *)
+let net_timing_of net (ar, af) timings =
+  { net_name = net;
+    driver_arrival = ar;
+    driver_arrival_fall = af;
+    sinks =
+      List.map
+        (fun (inst, delay, delay_fall, sink_slew) ->
+          { sink_inst = inst;
+            net_delay = delay;
+            net_delay_fall = delay_fall;
+            sink_slew;
+            arrival = ar +. delay;
+            arrival_fall = af +. delay_fall })
+        timings }
+
+(* The arrival tuple a gate hands its output net: the worst input by
+   rise arrival (strict [>] in pin order, first wins; [init] names the
+   input kept if none beats [neg_infinity]) plus the intrinsic delay,
+   for both transitions — fall arrivals ride the rise-worst path — with
+   that input's sink slew and the path through it, newest first. *)
+let arrival_through g ~init ~sink ~path =
+  let worst, worst_net =
+    List.fold_left
+      (fun (acc, accn) inp ->
+        let s = sink inp in
+        if s.arrival > acc then (s.arrival, inp) else (acc, accn))
+      (neg_infinity, init) g.g_inputs
+  in
+  let ws = sink worst_net in
+  ( worst +. g.g_cell.intrinsic,
+    ws.arrival_fall +. g.g_cell.intrinsic,
+    ws.sink_slew,
+    g.g_output :: path worst_net )
+
+(* Endpoints: the explicitly constrained nets, plus (when a clock card
+   set a default period) every unconstrained primary output. *)
+let endpoint_requirements (d : design) =
+  let tbl : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  List.iter (fun (net, t) -> Hashtbl.replace tbl net t) (constraints d);
+  (match d.clock with
+  | None -> ()
+  | Some period ->
+    List.iter
+      (fun net -> if not (Hashtbl.mem tbl net) then Hashtbl.replace tbl net period)
+      (primary_output_nets d));
+  tbl
+
+let min2 (a, b) (c, e) = (Float.min a c, Float.min b e)
+
+let inf2 = (infinity, infinity)
+
+(* One net's step of the backward pass: the (rise, fall) requirement at
+   each sink pin — the net's own endpoint requirement min'ed with the
+   sink gate's output requirement less its intrinsic — and at the
+   driver pin, the sink requirements less each sink's per-transition
+   wire delay, min'ed over sinks (a sinkless leaf: the endpoint
+   requirement binds the driver pin). *)
+let net_requirements (d : design) nt ~endpoint ~req_driver =
+  let ep2 = match endpoint with Some t -> (t, t) | None -> inf2 in
+  let sink_reqs =
+    List.map
+      (fun st ->
+        let through =
+          match find_gate d st.sink_inst with
+          | None -> inf2
+          | Some g -> (
+            match req_driver g.g_output with
+            | None -> inf2
+            | Some (rr, rf) -> (rr -. g.g_cell.intrinsic, rf -. g.g_cell.intrinsic))
+        in
+        (st, min2 ep2 through))
+      nt.sinks
+  in
+  let dr =
+    match sink_reqs with
+    | [] -> ep2
+    | _ ->
+      List.fold_left
+        (fun acc (st, (rr, rf)) ->
+          min2 acc (rr -. st.net_delay, rf -. st.net_delay_fall))
+        inf2 sink_reqs
+  in
+  (sink_reqs, dr)
+
+(* One net's pin slacks at the binding transition — the one with less
+   slack, ties to rise; pins no finite requirement reaches are skipped.
+   Requirements bind the sink pins, or the driver pin of a sinkless
+   net. *)
+let net_slacks nt ~req_driver ~req_sink =
+  let net = nt.net_name in
+  let binding acc ~pin ~ar ~af (rr, rf) =
+    let sr = rr -. ar and sf = rf -. af in
+    let entry transition arrival required =
+      { sp_net = net;
+        sp_pin = pin;
+        sp_transition = transition;
+        sp_arrival = arrival;
+        sp_required = required;
+        sp_slack = required -. arrival }
+      :: acc
+    in
+    if Float.is_finite sf && sf < sr then entry Fall af rf
+    else if Float.is_finite sr then entry Rise ar rr
+    else acc
+  in
+  match nt.sinks with
+  | [] -> (
+    match req_driver net with
+    | Some rq -> binding [] ~pin:None ~ar:nt.driver_arrival ~af:nt.driver_arrival_fall rq
+    | None -> [])
+  | sinks ->
+    List.fold_left
+      (fun acc st ->
+        match req_sink st.sink_inst with
+        | Some rq -> binding acc ~pin:(Some st.sink_inst) ~ar:st.arrival ~af:st.arrival_fall rq
+        | None -> acc)
+      [] sinks
+
+(* worst slack first; (slack, net, pin) is unique per pin, so the order
+   does not depend on how the entries were gathered *)
+let sort_slacks entries =
+  List.sort
+    (fun a b -> compare (a.sp_slack, a.sp_net, a.sp_pin) (b.sp_slack, b.sp_net, b.sp_pin))
+    entries
+
+(* Latest arrival over the critical candidates (strict [>], first seen
+   wins) and its path, from the arrival tuple's path of that net. *)
+let critical (d : design) ~timed ~path =
+  let arrival, net =
+    List.fold_left
+      (fun (acc, accn) net ->
+        match timed net with
+        | None -> (acc, accn)
+        | Some nt ->
+          let worst =
+            List.fold_left (fun m s -> Float.max m s.arrival) nt.driver_arrival nt.sinks
+          in
+          if worst > acc then (worst, Some net) else (acc, accn))
+      (neg_infinity, None) (critical_candidates d)
+  in
+  ( arrival,
+    match net with
+    | None -> []
+    | Some net -> (
+      match path net with Some p -> List.rev p | None -> [ net ]) )
+
+let check_references (d : design) =
   List.iter
     (fun g ->
       List.iter
         (fun net ->
           if not (Hashtbl.mem d.nets net) then
-            malformed "gate %s references unknown net %s" g.inst net)
-        (g.output :: g.inputs))
-    gates;
+            malformed "gate %s references unknown net %s" g.g_inst net)
+        (g.g_output :: g.g_inputs))
+    (List.rev d.gates)
+
+let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
+    ?(reduce = true) ?cache (d : design) =
+  (* one options record per analysis: cached engines share it *)
+  let options = { Awe.default_options with Awe.sparse } in
+  check_references d;
   (* net is ready when its driver's inputs are all timed; PIs are roots *)
   let arrival_at_net :
       (string, float * float * float * string list) Hashtbl.t =
@@ -828,192 +1169,82 @@ let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
      propagate arrivals through the sink gates.  Runs sequentially, in
      sorted net order, on the calling domain. *)
   let record_net net driver_arrival driver_arrival_fall timings =
-    let sinks =
-      List.map
-        (fun (inst, delay, delay_fall, sink_slew) ->
-          let st =
-            { sink_inst = inst;
-              net_delay = delay;
-              net_delay_fall = delay_fall;
-              sink_slew;
-              arrival = driver_arrival +. delay;
-              arrival_fall = driver_arrival_fall +. delay_fall }
-          in
-          Hashtbl.replace sink_results (net, inst) st;
-          st)
-        timings
-    in
-    Hashtbl.replace timed net
-      { net_name = net; driver_arrival; driver_arrival_fall; sinks };
-    (* propagate through sink gates *)
+    let nt = net_timing_of net (driver_arrival, driver_arrival_fall) timings in
+    List.iter (fun st -> Hashtbl.replace sink_results (net, st.sink_inst) st) nt.sinks;
+    Hashtbl.replace timed net nt;
+    (* propagate through sink gates: a gate's output arrival is set
+       once all of its inputs are timed *)
     List.iter
       (fun g ->
-        match Hashtbl.find_opt sink_results (net, g.inst) with
-        | None -> ()
-        | Some _ ->
-          (* gate output net arrival = max over timed inputs + intrinsic;
-             only update when all inputs are timed *)
-          let all_inputs_timed =
-            List.for_all
-              (fun inp -> Hashtbl.mem sink_results (inp, g.inst))
-              g.inputs
-          in
-          if all_inputs_timed then begin
-            let worst, worst_net =
-              List.fold_left
-                (fun (acc, accn) inp ->
-                  let s = Hashtbl.find sink_results (inp, g.inst) in
-                  if s.arrival > acc then (s.arrival, inp) else (acc, accn))
-                (neg_infinity, net) g.inputs
-            in
-            let worst_sink = Hashtbl.find sink_results (worst_net, g.inst) in
-            let _, _, _, worst_path =
-              match Hashtbl.find_opt arrival_at_net worst_net with
-              | Some v -> v
-              | None -> (0., 0., 0., [])
-            in
-            Hashtbl.replace arrival_at_net g.output
-              ( worst +. g.cell.intrinsic,
-                worst_sink.arrival_fall +. g.cell.intrinsic,
-                worst_sink.sink_slew,
-                (g.output :: worst_path) )
-          end)
+        if
+          List.for_all
+            (fun inp -> Hashtbl.mem sink_results (inp, g.g_inst))
+            g.g_inputs
+        then
+          Hashtbl.replace arrival_at_net g.g_output
+            (arrival_through g ~init:net
+               ~sink:(fun inp -> Hashtbl.find sink_results (inp, g.g_inst))
+               ~path:(fun n ->
+                 match Hashtbl.find_opt arrival_at_net n with
+                 | Some (_, _, _, p) -> p
+                 | None -> [])))
       (sinks_of d net)
   in
-  (* Kahn-style scheduling over nets, one wave at a time.  All nets of
-     a wave are ready simultaneously — their driver arrivals and slews
-     were frozen by earlier waves — so the expensive per-net solve
-     (MNA build, factorization, moment fits) is a pure function of the
-     wave-start state and fans out across the pool.  The wave's sorted
-     net list is split into contiguous chunks, one task per chunk (not
-     per net), so dispatch, DLS window and cache-shard overhead
-     amortize over many solves.  Results are recorded sequentially in
-     sorted net order, so reports and merged counters are
-     bit-identical to a sequential run for any [jobs]. *)
-  let all_nets = Hashtbl.fold (fun k _ acc -> k :: acc) d.nets [] in
-  let remaining = ref (List.sort compare all_nets) in
+  let all_nets = sorted_nets d in
   (* wave retirement order, newest wave first: the backward
      required-time pass walks it as-is, so every net is visited after
      all nets downstream of it (they retired in later waves) *)
   let retired = ref [] in
-  Parallel.with_pool ~jobs (fun pool ->
-      let progress = ref true in
-      while !remaining <> [] && !progress do
-        progress := false;
-        let ready, blocked =
-          List.partition (fun net -> Hashtbl.mem arrival_at_net net) !remaining
-        in
-        if ready <> [] then begin
-          progress := true;
-          (* Freeze the cache view once per wave: every task of the
-             wave — on any domain, in any order — sees exactly the
-             entries published by earlier waves, so lookups, counters
-             and numeric results are independent of scheduling and of
-             [jobs]. *)
-          let view = Option.map Awe.Cache.view cache in
-          let prep =
-            Array.of_list
-              (List.map
-                 (fun net ->
-                   let driver_arrival, driver_fall, slew, _path =
-                     Hashtbl.find arrival_at_net net
-                   in
-                   let driver_res =
-                     match driver_of d net with
-                     | Some g -> g.cell.drive_res
-                     | None ->
-                       if Hashtbl.mem d.pis net then 1e-3
-                         (* ideal primary input *)
-                       else malformed "net %s is undriven" net
-                   in
-                   (net, driver_arrival, driver_fall, slew, driver_res))
-                 ready)
-          in
-          (* contiguous chunks of the sorted wave, one per pool slot:
-             chunk ci covers [bounds.(ci), bounds.(ci + 1)).  Tasks
-             process their range in ascending (sorted) order, so each
-             shard's publication log is a contiguous slice of the
-             sequential publication order. *)
-          let n = Array.length prep in
-          let nchunks =
-            let j = Parallel.jobs pool in
-            if j <= 1 then 1 else Stdlib.min n j
-          in
-          let bounds = Array.init (nchunks + 1) (fun i -> i * n / nchunks) in
-          (* per-chunk failure label, updated as the chunk advances so
-             an unexpected exception is attributed to the exact net it
-             escaped from (each task writes only its own slot; the
-             funnel reads after the map's final hand-off) *)
-          let labels =
-            Array.init nchunks (fun ci ->
-                let net, _, _, _, _ = prep.(bounds.(ci)) in
-                "net " ^ net)
-          in
-          let chunk_results =
-            Parallel.mapi
-              ~label:(fun ci -> labels.(ci))
-              pool
-              (fun ci () ->
-                let lo = bounds.(ci) and hi = bounds.(ci + 1) in
-                (* private shard: wave-local publications accumulate
-                   here, lock-free, and intra-chunk duplicates of one
-                   template are served instead of recomputed *)
-                let shard =
-                  Option.map (fun _ -> Awe.Cache.Shard.create ()) view
-                in
-                Awe.Stats.scoped (fun () ->
-                    let outcomes = Array.make (hi - lo) (Error "") in
-                    for k = 0 to hi - lo - 1 do
-                      let net, _, _, slew, driver_res = prep.(lo + k) in
-                      labels.(ci) <- "net " ^ net;
-                      outcomes.(k) <-
-                        (match
-                           net_sink_timings d ~model ~options ~reduce ~view
-                             ~shard ~net ~driver_res ~slew
-                         with
-                        | timings -> Ok timings
-                        | exception Malformed msg -> Error msg)
-                    done;
-                    (outcomes, shard)))
-              (Array.make nchunks ())
-          in
-          Array.iteri
-            (fun ci ((outcomes, shard), window) ->
-              (* counter merge in chunk order: integer sums commute, so
-                 the total is independent of the chunking and of the
-                 schedule *)
-              merged_stats := Awe.Stats.merge !merged_stats window;
-              (* absorb shards in chunk order: chunks are contiguous
-                 sorted ranges and each log is in intra-chunk sorted
-                 order, so the replayed publication sequence is exactly
-                 the sorted net order a sequential sweep publishes in —
-                 first-wins then yields identical cache contents *)
-              (match (cache, shard) with
-              | Some c, Some sh -> Awe.Cache.absorb c sh
-              | _ -> ());
-              Array.iteri
-                (fun k outcome ->
-                  let net, driver_arrival, driver_fall, _, _ =
-                    prep.(bounds.(ci) + k)
+  (* Kahn scheduling over nets, one wave at a time ({!kahn}).  All
+     nets of a wave are ready simultaneously — their driver arrivals
+     and slews were frozen by earlier waves — so the expensive per-net
+     solve (MNA build, factorization, moment fits) is a pure function
+     of the wave-start state and fans out across the pool
+     ({!solve_wave}).  Results are recorded sequentially in sorted net
+     order, so reports and merged counters are bit-identical to a
+     sequential run for any [jobs]. *)
+  let remaining =
+    Parallel.with_pool ~jobs (fun pool ->
+        kahn d ~run:(fun ready ->
+            let ready = Array.of_list ready in
+            (* wave-start arrivals: recording a net may fire a gate
+               whose output is already in this wave *)
+            let starts = Array.map (Hashtbl.find arrival_at_net) ready in
+            let wave =
+              Array.mapi
+                (fun k net ->
+                  let _, _, slew, _ = starts.(k) in
+                  let driver_res =
+                    match driver_of d net with
+                    | Some g -> g.g_cell.drive_res
+                    | None ->
+                      if Hashtbl.mem d.pis net then 1e-3 (* ideal primary input *)
+                      else malformed "net %s is undriven" net
                   in
-                  match outcome with
-                  | Ok timings -> record_net net driver_arrival driver_fall timings
-                  | Error msg ->
-                    (* a failed net reports its diagnostic; siblings
-                       keep their (already computed) results either
-                       way *)
-                    if strict then raise (Malformed msg)
-                    else
-                      failures :=
-                        { failed_net = net; reason = msg } :: !failures)
-                outcomes)
-            chunk_results;
-          retired := ready :: !retired;
-          remaining := blocked
-        end
-      done);
-  if !remaining <> [] then begin
-    if !failures = [] then raise (Not_a_dag !remaining)
+                  (net, driver_res, slew))
+                ready
+            in
+            let timed_ok = ref [] in
+            solve_wave pool d ~model ~options ~reduce ~cache
+              ~window:(fun w -> merged_stats := Awe.Stats.merge !merged_stats w)
+              ~record:(fun k outcome ->
+                let net = ready.(k) in
+                match outcome with
+                | Ok (timings, _keys) ->
+                  let driver_arrival, driver_fall, _, _ = starts.(k) in
+                  record_net net driver_arrival driver_fall timings;
+                  timed_ok := net :: !timed_ok
+                | Error msg ->
+                  (* a failed net reports its diagnostic; siblings keep
+                     their (already computed) results either way *)
+                  if strict then raise (Malformed msg)
+                  else failures := { failed_net = net; reason = msg } :: !failures)
+              wave;
+            retired := Array.to_list ready :: !retired;
+            !timed_ok))
+  in
+  if remaining <> [] then begin
+    if !failures = [] then raise (Not_a_dag remaining)
     else
       (* downstream of a failed net: nothing to time, but say why *)
       List.iter
@@ -1021,60 +1252,22 @@ let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
           failures :=
             { failed_net = net; reason = "not timed: an upstream net failed" }
             :: !failures)
-        !remaining
+        remaining
   end;
   (* critical arrival over primary outputs (or all sinks if none marked) *)
-  let candidate_nets = critical_candidates d in
-  let critical_arrival, critical_net =
-    List.fold_left
-      (fun (acc, accn) net ->
-        match Hashtbl.find_opt timed net with
-        | None -> (acc, accn)
-        | Some nt ->
-          let worst =
-            List.fold_left
-              (fun m s -> Float.max m s.arrival)
-              nt.driver_arrival nt.sinks
-          in
-          if worst > acc then (worst, Some net) else (acc, accn))
-      (neg_infinity, None) candidate_nets
-  in
-  let critical_path =
-    match critical_net with
-    | None -> []
-    | Some net -> (
-      match Hashtbl.find_opt arrival_at_net net with
-      | Some (_, _, _, path) -> List.rev path
-      | None -> [ net ])
+  let critical_arrival, critical_path =
+    critical d ~timed:(Hashtbl.find_opt timed) ~path:(fun net ->
+        Option.map (fun (_, _, _, p) -> p) (Hashtbl.find_opt arrival_at_net net))
   in
   (* ---- required-time back-propagation ----------------------------
-     Endpoints are the explicitly constrained nets, plus (when a clock
-     card set a default period) every unconstrained primary output.
-     The requirement applies at a net's sink pins — the points its
-     arrivals are measured at — or at the driver pin when the net is a
-     sinkless leaf (a primary-output stub).  Requirements then flow
-     backward per transition: through a sink gate, the gate's output
-     requirement less its intrinsic; across a net, the sink-pin
-     requirement less that sink's (per-transition) wire delay, min'ed
-     over sinks.  Walking nets in reverse wave-retirement order
-     guarantees each net's downstream requirements are final when it
-     is visited — the min-plus dual of the forward max-plus pass. *)
-  let endpoint_req : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (net, t) -> Hashtbl.replace endpoint_req net t) (constraints d);
-  (match d.clock with
-  | None -> ()
-  | Some period ->
-    List.iter
-      (fun net ->
-        if not (Hashtbl.mem endpoint_req net) then
-          Hashtbl.replace endpoint_req net period)
-      (primary_output_nets d));
-  let gate_by_inst : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace gate_by_inst g.inst g) gates;
-  let driver_gate : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace driver_gate g.output g) gates;
-  let min2 (a, b) (c, e) = (Float.min a c, Float.min b e) in
-  let inf2 = (infinity, infinity) in
+     Requirements flow backward per transition ({!net_requirements}):
+     through a sink gate, the gate's output requirement less its
+     intrinsic; across a net, the sink-pin requirement less that sink's
+     (per-transition) wire delay, min'ed over sinks.  Walking nets in
+     reverse wave-retirement order guarantees each net's downstream
+     requirements are final when it is visited — the min-plus dual of
+     the forward max-plus pass. *)
+  let endpoint_req = endpoint_requirements d in
   (* (rise, fall) required times at driver pins and sink pins *)
   let req_driver : (string, float * float) Hashtbl.t = Hashtbl.create 16 in
   let req_sink : (string * string, float * float) Hashtbl.t =
@@ -1084,93 +1277,30 @@ let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
     match Hashtbl.find_opt timed net with
     | None -> () (* failed / untimed: no requirements to propagate *)
     | Some nt ->
-      let ep2 =
-        match Hashtbl.find_opt endpoint_req net with
-        | Some t -> (t, t)
-        | None -> inf2
+      let sink_reqs, dr =
+        net_requirements d nt
+          ~endpoint:(Hashtbl.find_opt endpoint_req net)
+          ~req_driver:(Hashtbl.find_opt req_driver)
       in
-      let sink_reqs =
-        List.map
-          (fun st ->
-            let through =
-              match Hashtbl.find_opt gate_by_inst st.sink_inst with
-              | None -> inf2
-              | Some g -> (
-                match Hashtbl.find_opt req_driver g.output with
-                | None -> inf2
-                | Some (rr, rf) ->
-                  (rr -. g.cell.intrinsic, rf -. g.cell.intrinsic))
-            in
-            let rq = min2 ep2 through in
-            Hashtbl.replace req_sink (net, st.sink_inst) rq;
-            (st, rq))
-          nt.sinks
-      in
-      let dr =
-        match sink_reqs with
-        | [] -> ep2 (* sinkless leaf: the constraint binds the driver pin *)
-        | _ ->
-          List.fold_left
-            (fun acc (st, (rr, rf)) ->
-              min2 acc (rr -. st.net_delay, rf -. st.net_delay_fall))
-            inf2 sink_reqs
-      in
+      List.iter
+        (fun (st, rq) -> Hashtbl.replace req_sink (net, st.sink_inst) rq)
+        sink_reqs;
       Hashtbl.replace req_driver net dr
   in
   List.iter (List.iter backward) !retired;
   (* per-pin slacks at the binding transition, worst first *)
-  let slack_entries = ref [] in
-  let () =
-    let entries = slack_entries in
-    List.iter
-      (fun net ->
-        match Hashtbl.find_opt timed net with
-        | None -> ()
-        | Some nt ->
-          let emit ~pin ~transition ~arrival ~required =
-            entries :=
-              { sp_net = net;
-                sp_pin = pin;
-                sp_transition = transition;
-                sp_arrival = arrival;
-                sp_required = required;
-                sp_slack = required -. arrival }
-              :: !entries
-          in
-          let binding ~pin ~ar ~af (rr, rf) =
-            (* the binding transition is the one with less slack; ties
-               go to rise.  Skip unconstrained pins (both infinite). *)
-            let sr = rr -. ar and sf = rf -. af in
-            if Float.is_finite sf && sf < sr then
-              emit ~pin ~transition:Fall ~arrival:af ~required:rf
-            else if Float.is_finite sr then
-              emit ~pin ~transition:Rise ~arrival:ar ~required:rr
-          in
-          (match nt.sinks with
-          | [] -> (
-            match Hashtbl.find_opt req_driver net with
-            | Some rq ->
-              binding ~pin:None ~ar:nt.driver_arrival
-                ~af:nt.driver_arrival_fall rq
-            | None -> ())
-          | sinks ->
-            List.iter
-              (fun st ->
-                match Hashtbl.find_opt req_sink (net, st.sink_inst) with
-                | Some rq ->
-                  binding ~pin:(Some st.sink_inst) ~ar:st.arrival
-                    ~af:st.arrival_fall rq
-                | None -> ())
-              sinks))
-      (List.sort compare all_nets)
-  in
   let slacks =
-    List.sort
-      (fun a b ->
-        compare
-          (a.sp_slack, a.sp_net, a.sp_pin)
-          (b.sp_slack, b.sp_net, b.sp_pin))
-      !slack_entries
+    Array.fold_left
+      (fun acc net ->
+        match Hashtbl.find_opt timed net with
+        | None -> acc
+        | Some nt ->
+          List.rev_append
+            (net_slacks nt ~req_driver:(Hashtbl.find_opt req_driver)
+               ~req_sink:(fun inst -> Hashtbl.find_opt req_sink (net, inst)))
+            acc)
+      [] all_nets
+    |> sort_slacks
   in
   let worst_slack =
     match slacks with [] -> infinity | s :: _ -> s.sp_slack
@@ -1184,7 +1314,12 @@ let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
         { Awe.Stats.zero with Awe.Stats.cache_bytes = Awe.Cache.bytes c }
   | None -> ());
   let nets =
-    List.filter_map (Hashtbl.find_opt timed) (List.sort compare all_nets)
+    Array.fold_right
+      (fun net acc ->
+        match Hashtbl.find_opt timed net with
+        | Some nt -> nt :: acc
+        | None -> acc)
+      all_nets []
   in
   { nets;
     critical_arrival;
@@ -1207,35 +1342,14 @@ let analyze ?(model = Awe_auto) ?(sparse = false) ?(jobs = 1) ?(strict = true)
    arrival. *)
 let critical_paths (d : design) (r : report) ~k =
   if k < 0 then invalid_arg "Sta.critical_paths: k must be non-negative";
-  let gates = List.rev d.gates in
-  let gate_by_inst : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace gate_by_inst g.inst g) gates;
-  let driver_gate : (string, gate) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace driver_gate g.output g) gates;
   let timed : (string, net_timing) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun nt -> Hashtbl.replace timed nt.net_name nt) r.nets;
-  let sink_results : (string * string, sink_timing) Hashtbl.t =
-    Hashtbl.create 16
+  let sink_of net inst =
+    Option.bind (Hashtbl.find_opt timed net) (fun nt ->
+        List.find_opt (fun st -> st.sink_inst = inst) nt.sinks)
   in
-  List.iter
-    (fun nt ->
-      List.iter
-        (fun st -> Hashtbl.replace sink_results (nt.net_name, st.sink_inst) st)
-        nt.sinks)
-    r.nets;
-  let endpoint_req : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (net, t) -> Hashtbl.replace endpoint_req net t) (constraints d);
-  (match d.clock with
-  | None -> ()
-  | Some period ->
-    List.iter
-      (fun net ->
-        if not (Hashtbl.mem endpoint_req net) then
-          Hashtbl.replace endpoint_req net period)
-      (primary_output_nets d));
   let endpoints =
-    Hashtbl.fold (fun net t acc -> (net, t) :: acc) endpoint_req []
-    |> List.sort compare
+    Hashtbl.fold (fun net t acc -> (net, t) :: acc) (endpoint_requirements d) []
   in
   let candidates =
     List.concat_map
@@ -1267,11 +1381,6 @@ let critical_paths (d : design) (r : report) ~k =
         compare (s1, n1, p1) (s2, n2, p2))
       candidates
   in
-  let rec take n l =
-    match (n, l) with
-    | 0, _ | _, [] -> []
-    | n, x :: tl -> x :: take (n - 1) tl
-  in
   let arrival_of tr (st : sink_timing) =
     match tr with Rise -> st.arrival | Fall -> st.arrival_fall
   in
@@ -1285,7 +1394,7 @@ let critical_paths (d : design) (r : report) ~k =
       let net_delay, arrival =
         match pin_opt with
         | Some inst ->
-          let st = Hashtbl.find sink_results (net, inst) in
+          let st = Option.get (sink_of net inst) in
           (delay_of tr st, arrival_of tr st)
         | None ->
           let nt = Hashtbl.find timed net in
@@ -1294,7 +1403,7 @@ let critical_paths (d : design) (r : report) ~k =
             | Rise -> nt.driver_arrival
             | Fall -> nt.driver_arrival_fall )
       in
-      match Hashtbl.find_opt driver_gate net with
+      match driver_of d net with
       | None ->
         (* a primary input sources the path; its arrival card is the
            path's input arrival (same for both transitions) *)
@@ -1318,7 +1427,7 @@ let critical_paths (d : design) (r : report) ~k =
         let stage =
           { st_net = net;
             st_pin = pin_opt;
-            st_gate_delay = g.cell.intrinsic;
+            st_gate_delay = g.g_cell.intrinsic;
             st_net_delay = net_delay;
             st_arrival = arrival }
         in
@@ -1327,13 +1436,13 @@ let critical_paths (d : design) (r : report) ~k =
         let worst_net, _ =
           List.fold_left
             (fun (accn, acca) inp ->
-              match Hashtbl.find_opt sink_results (inp, g.inst) with
+              match sink_of inp g.g_inst with
               | None -> (accn, acca)
               | Some s ->
                 if s.arrival > acca then (inp, s.arrival) else (accn, acca))
-            (net, neg_infinity) g.inputs
+            (net, neg_infinity) g.g_inputs
         in
-        up worst_net (Some g.inst) (stage :: acc)
+        up worst_net (Some g.g_inst) (stage :: acc)
     in
     up endpoint_net pin []
   in
@@ -1348,7 +1457,7 @@ let critical_paths (d : design) (r : report) ~k =
         path_required = req;
         path_slack = slack;
         path_stages = stages })
-    (take k candidates)
+    (List.filteri (fun i _ -> i < k) candidates)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-corner analysis.  A corner derates element values but never
@@ -1363,14 +1472,14 @@ let corner_design (d : design) (c : Circuit.Corner.t) =
   let d' = create ~vdd:d.vdd ~threshold:d.threshold () in
   List.iter
     (fun g ->
-      let cl = g.cell in
-      add_gate d' ~inst:g.inst
+      let cl = g.g_cell in
+      add_gate d' ~inst:g.g_inst
         ~cell:
           (cell ~name:cl.cell_name
              ~drive_res:(cl.drive_res *. c.Circuit.Corner.cell_drive)
              ~input_cap:(cl.input_cap *. c.Circuit.Corner.cell_cap)
              ~intrinsic:(cl.intrinsic *. c.Circuit.Corner.cell_intrinsic))
-        ~inputs:g.inputs ~output:g.output)
+        ~inputs:g.g_inputs ~output:g.g_output)
     (List.rev d.gates);
   Hashtbl.iter
     (fun name segs ->

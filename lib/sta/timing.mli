@@ -134,7 +134,55 @@ val gate_details : design -> (string * cell * string list * string) list
 (** [(instance, cell, input nets, output net)] per gate, in
     declaration order — the full-record counterpart of
     {!gate_views}/{!gate_cells} for layers that need the numeric cell
-    values (the {!Session} layer's connectivity tables). *)
+    values. *)
+
+(** {2 Connectivity index}
+
+    Every design carries one net↔gate index, built by {!add_gate} /
+    {!add_primary_output} and kept current by {!set_gate_cell} and
+    {!set_gate_inputs} in time proportional to the edited gate's pins.
+    [analyze], {!critical_paths}, {!net_circuit} and the {!Session}
+    layer answer every connectivity question through it. *)
+
+type gate = private {
+  g_inst : string;
+  mutable g_cell : cell;
+  mutable g_inputs : string list;  (** net names, pin order *)
+  g_output : string;
+  g_seq : int;  (** declaration rank, 0 for the first gate *)
+}
+(** A gate as the index holds it.  Read-only outside this module; the
+    record is shared with the design, so it reflects later edits. *)
+
+val find_gate : design -> string -> gate option
+(** The gate with this instance name. *)
+
+val sinks_of : design -> string -> gate list
+(** The gates listing the net among their inputs, newest declared
+    first, one entry per gate even when it lists the net on several
+    pins.  This order is the stage circuit's sink order. *)
+
+val drivers_of : design -> string -> gate list
+(** The gates whose output is the net, newest declared first. *)
+
+val driver_of : design -> string -> gate option
+(** The newest driver of the net (the head of {!drivers_of}). *)
+
+val waves : design -> string list list
+(** The Kahn wave schedule [analyze] times a strict, failure-free
+    design in: wave 0 holds the declared primary-input nets, and a
+    gate's output net joins the wave after the one in which the last
+    of its inputs retired (a gate with no inputs never fires).  Each
+    wave is sorted.  Raises [Not_a_dag] with the sorted nets that were
+    never scheduled. *)
+
+val connectivity_work : unit -> int
+(** Gate records handed out by index lookups since the last
+    {!reset_connectivity_work}, process-wide.  Deterministic (the same
+    for any [jobs]), so complexity gates can count it instead of
+    timing. *)
+
+val reset_connectivity_work : unit -> unit
 
 (** {2 Structural views}
 
@@ -152,7 +200,8 @@ val gate_views : design -> gate_view list
 (** All gate instances, in declaration order. *)
 
 val net_names : design -> string list
-(** Names of all nets with a declared wire model, sorted. *)
+(** Names of all nets with a declared wire model, sorted (the index
+    keeps the sorted order between {!add_net} calls). *)
 
 val net_segments : design -> string -> segment list option
 (** The wire segments of a net, if it has a declared wire model. *)
@@ -350,14 +399,6 @@ val cache_remove_pattern : cache -> hash:string -> int
 val cache_bytes : cache -> int
 (** Approximate heap footprint of the cache ({!Awe.Cache.bytes}). *)
 
-val critical_candidates : design -> string list
-(** The candidate nets the critical-arrival fold scans, in the exact
-    order [analyze] scans them: declared primary outputs in raw
-    (newest-first) declaration order, or — when none are marked —
-    every declared net in the net table's stable enumeration order.
-    Selection is by strict [>] (first seen wins), so replicating the
-    order replicates the tie-breaks. *)
-
 type solve_keys = {
   sk_exact : (string * string) option;
       (** (hash, signature) of the exact-tier entry this solve hit or
@@ -390,6 +431,90 @@ val solve_net :
     the corresponding wave of a cold [analyze].  Raises [Malformed]
     as [analyze] does (unknown nets, unattached sinks, thresholds
     never crossed). *)
+
+val solve_wave :
+  Parallel.t ->
+  design ->
+  model:delay_model ->
+  options:Awe.options ->
+  reduce:bool ->
+  cache:cache option ->
+  window:(Awe.Stats.snapshot -> unit) ->
+  record:
+    (int -> ((string * float * float * float) list * solve_keys, string) result ->
+     unit) ->
+  (string * float * float) array ->
+  unit
+(** Solve one wave's [(net, driver_res, slew)] entries (sorted by net)
+    as [analyze] does, with [options] built once per analysis from
+    [sparse] (cached engines keep them): one {!solve_net} task per
+    contiguous chunk,
+    against a view frozen at wave start and a private shard.  Then, on
+    the calling domain, chunk by chunk: [window] gets the chunk's stats
+    window, its shard is absorbed into [cache], and [record] gets each
+    outcome by wave position ([Error] carries a [Malformed] message). *)
+
+(** The per-net steps of [analyze]'s forward and backward passes,
+    shared with the {!Session} layer's worklists. *)
+
+val net_timing_of :
+  string -> float * float -> (string * float * float * float) list -> net_timing
+(** A net's record from its driver-pin (rise, fall) arrivals and its
+    {!solve_net} sink timings. *)
+
+val arrival_through :
+  gate ->
+  init:string ->
+  sink:(string -> sink_timing) ->
+  path:(string -> string list) ->
+  float * float * float * string list
+(** The (rise, fall, slew, path) arrival a gate hands its output net:
+    its worst input pin by rise arrival ([sink] of the input net;
+    strict [>] in pin order, [init] kept if none beats
+    [neg_infinity]) plus the intrinsic delay, that pin's slew, and the
+    input's [path] (newest first) extended by the output. *)
+
+val endpoint_requirements : design -> (string, float) Hashtbl.t
+(** Explicit constraints, plus the clock period at every unconstrained
+    primary output. *)
+
+val net_requirements :
+  design ->
+  net_timing ->
+  endpoint:float option ->
+  req_driver:(string -> (float * float) option) ->
+  (sink_timing * (float * float)) list * (float * float)
+(** A timed net's (rise, fall) requirement per sink pin — its
+    [endpoint] requirement min'ed with the sink gate's output
+    requirement ([req_driver]) less its intrinsic — and at the driver
+    pin: sink requirements less wire delays, min'ed (the endpoint
+    requirement when sinkless). *)
+
+val net_slacks :
+  net_timing ->
+  req_driver:(string -> (float * float) option) ->
+  req_sink:(string -> (float * float) option) ->
+  pin_slack list
+(** A timed net's pin slacks at their binding transitions ([req_sink]
+    is keyed by sink instance). *)
+
+val sort_slacks : pin_slack list -> pin_slack list
+(** Worst slack first, ties by net then pin. *)
+
+val critical :
+  design ->
+  timed:(string -> net_timing option) ->
+  path:(string -> string list option) ->
+  float * string list
+(** Critical arrival and path: the latest arrival (strict [>], first
+    seen wins) over the primary outputs in newest-first declaration
+    order, or over every declared net in the net table's enumeration
+    order when none are marked; the path is that net's arrival
+    [path], reversed. *)
+
+val check_references : design -> unit
+(** [analyze]'s upfront check: raises [Malformed] naming the first
+    gate, in declaration order, with a pin on an undeclared net. *)
 
 val analyze :
   ?model:delay_model -> ?sparse:bool -> ?jobs:int -> ?strict:bool ->

@@ -1581,6 +1581,82 @@ let test_session_revert_all_metamorphic () =
       (Sta.cache_fingerprint (Sta.Session.cache s) = fp0)
   done
 
+(* ----- the connectivity index against the list-scan reference ------
+
+   Random layered designs under random Session edit streams that mix
+   topology edits (Set_inputs, Swap_sink, including duplicate pins),
+   cell edits and reverts.  After every step, every net's sinks (order
+   included), drivers and newest driver must equal the frozen list-scan
+   queries of [Legacy_connectivity], and the wave schedule must be a
+   sorted partition of the nets, and the session's worklist re-time
+   must match a cold analysis of the edited design.  Both run the
+   Elmore model: the property is about connectivity, and first-order
+   delays exist for every random stage. *)
+
+let index_matches_reference d =
+  let inst g = g.Sta.g_inst in
+  let nets =
+    List.sort_uniq compare
+      (Sta.net_names d
+      @ List.concat_map (fun (_, _, ins, out) -> out :: ins) (Sta.gate_details d))
+  in
+  List.for_all
+    (fun net ->
+      List.map inst (Sta.sinks_of d net) = Legacy_connectivity.sinks_of d net
+      && List.map inst (Sta.drivers_of d net) = Legacy_connectivity.drivers_of d net
+      && Option.map inst (Sta.driver_of d net) = Legacy_connectivity.driver_of d net)
+    nets
+
+let waves_partition d =
+  let waves = Sta.waves d in
+  List.for_all (fun w -> w = List.sort_uniq compare w && w <> []) waves
+  && List.sort compare (List.concat waves) = Sta.net_names d
+
+(* a topology or cell edit that keeps the design valid: input lists are
+   drawn from the nets wired to the gate's pin in the generated design *)
+let random_index_edit st d ~wired =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let inst, _, inputs, _ = pick (Sta.gate_details d) in
+  let ws = Hashtbl.find wired inst in
+  match Random.State.int st 4 with
+  | 0 ->
+    let n = 1 + Random.State.int st 3 in
+    Sta.Session.Set_inputs { inst; inputs = List.init n (fun _ -> pick ws) }
+  | 1 -> Sta.Session.Swap_sink { inst; from_net = pick inputs; to_net = pick ws }
+  | 2 -> Sta.Session.Set_drive { inst; value = 100. +. Random.State.float st 900. }
+  | _ -> Sta.Session.Set_pin_cap { inst; value = Random.State.float st 60e-15 }
+
+let qcheck_index_reference =
+  QCheck2.Test.make ~name:"index = list-scan reference under edit streams"
+    ~count:60 ~print:string_of_int
+    QCheck2.Gen.(0 -- 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| 0x1D8; seed |] in
+      let d = random_design st ~nets:(4 + Random.State.int st 12) in
+      let wired = Hashtbl.create 16 in
+      List.iter
+        (fun (inst, _, inputs, _) -> Hashtbl.replace wired inst inputs)
+        (Sta.gate_details d);
+      let model = Sta.Elmore_model in
+      let s = Sta.Session.create ~model ~reduce:false ~jobs:test_jobs d in
+      let matches_cold () =
+        let cold = Sta.analyze ~model ~reduce:false ~jobs:1 d in
+        match Sta.Session.retime s with
+        | Ok r ->
+          r.Sta.nets = cold.Sta.nets && r.Sta.slacks = cold.Sta.slacks
+          && r.Sta.critical_path = cold.Sta.critical_path
+        | Error _ -> false
+      in
+      let ok = ref (index_matches_reference d && waves_partition d) in
+      for _ = 1 to 1 + Random.State.int st 12 do
+        (match Random.State.int st 10 with
+        | 0 -> ignore (Sta.Session.revert s)
+        | 1 -> ignore (Sta.Session.revert_all s)
+        | _ -> ignore (Sta.Session.apply s (random_index_edit st d ~wired)));
+        ok := !ok && index_matches_reference d && waves_partition d && matches_cold ()
+      done;
+      !ok)
+
 (* ----- Serve: the line protocol over a session --------------------- *)
 
 let deck_path () =
@@ -1760,6 +1836,8 @@ let () =
             test_session_metamorphic;
           Alcotest.test_case "edit/revert-all fingerprint identity" `Quick
             test_session_revert_all_metamorphic ] );
+      ( "index",
+        List.map QCheck_alcotest.to_alcotest [ qcheck_index_reference ] );
       ( "serve",
         [ Alcotest.test_case "protocol round-trip" `Quick test_serve_protocol;
           Alcotest.test_case "protocol drives the same session" `Quick
