@@ -1,8 +1,6 @@
-(* Relabeling-invariant circuit hashing (see canon.mli).  The two
-   hashes are Weisfeiler-Leman color refinement runs differing only in
-   whether element values are folded into the per-element signatures;
-   the exact signature is a separate, order-preserving serialization
-   used as the collision guard. *)
+(* Construction-order solve keys (see canon.mli).  One serializer
+   produces both keys; the pattern key is the same walk with values
+   left out. *)
 
 let add_float buf x =
   (* IEEE-754 bit pattern: distinguishes values that print alike and
@@ -39,8 +37,8 @@ let add_ic buf = function
     Buffer.add_char buf 's';
     add_float buf v
 
-(* Kind tag plus, when [with_values], the element's numeric payload.
-   Names and node ids are deliberately absent. *)
+(* Kind tag plus, when [with_values], the element's numeric payload
+   and waveform.  Names never enter a key. *)
 let add_static ~with_values buf (e : Element.t) =
   match e with
   | Resistor { r; _ } ->
@@ -80,10 +78,7 @@ let add_static ~with_values buf (e : Element.t) =
     Buffer.add_char buf 'K';
     if with_values then add_float buf k
 
-(* Connection ports in the element's defining order.  Ordered on
-   purpose: treating [np]/[nn] as interchangeable for symmetric
-   elements would need sign-aware canonicalization for the rest; the
-   ordered treatment is sound for a cache (misses, never wrong hits). *)
+(* Connection ports in the element's defining order. *)
 let ports (e : Element.t) =
   match e with
   | Resistor { np; nn; _ }
@@ -112,122 +107,16 @@ let name_index (c : Netlist.circuit) =
     c.elements;
   tbl
 
-(* One element's contribution under the current node coloring: static
-   signature, port colors in port order, and for each named reference
-   the referenced element's static signature and port colors. *)
-let elem_context ~esig ~by_name ~color (c : Netlist.circuit) i =
-  let b = Buffer.create 64 in
-  let add_elem j =
-    Buffer.add_string b esig.(j);
-    Array.iter
-      (fun v ->
-        Buffer.add_string b color.(v);
-        Buffer.add_char b ',')
-      (ports c.elements.(j))
-  in
-  add_elem i;
-  List.iter
-    (fun r ->
-      Buffer.add_char b '>';
-      match Hashtbl.find_opt by_name (String.lowercase_ascii r) with
-      | Some j -> add_elem j
-      | None -> Buffer.add_char b '?')
-    (refs c.elements.(i));
-  Buffer.contents b
-
-let distinct_count colors =
-  List.length (List.sort_uniq String.compare (Array.to_list colors))
-
-let static_sigs ~with_values elems =
-  Array.map
-    (fun e ->
-      let b = Buffer.create 16 in
-      add_static ~with_values b e;
-      Buffer.contents b)
-    elems
-
-(* per-node incidence: (element index, port role) *)
-let incidence n elems =
-  let inc = Array.make n [] in
-  Array.iteri
-    (fun i e ->
-      Array.iteri (fun role v -> inc.(v) <- (i, role) :: inc.(v)) (ports e))
-    elems;
-  inc
-
-(* One refinement run over prebuilt tables, so {!hashes} can share the
-   structural setup between the pattern and exact runs. *)
-let wl_hash_with ~by_name ~inc ~esig (c : Netlist.circuit) =
-  let n = c.node_count in
-  let elems = c.elements in
-  let color =
-    Array.init n (fun v -> if v = Element.ground then "g" else "n")
-  in
-  (* Refine until the partition stops splitting.  The count sequence is
-     isomorphism-invariant, so relabeled copies run the same number of
-     rounds and end with identical color multisets. *)
-  let rec refine rounds prev =
-    if rounds > 0 then begin
-      let ctx = Array.mapi (fun i _ -> elem_context ~esig ~by_name ~color c i) elems in
-      let next =
-        Array.mapi
-          (fun v old ->
-            let contribs =
-              List.sort String.compare
-                (List.map
-                   (fun (i, role) -> string_of_int role ^ "@" ^ ctx.(i))
-                   inc.(v))
-            in
-            Digest.to_hex
-              (Digest.string (old ^ "|" ^ String.concat ";" contribs)))
-          color
-      in
-      Array.blit next 0 color 0 n;
-      let cnt = distinct_count color in
-      if cnt > prev then refine (rounds - 1) cnt
-    end
-  in
-  refine n (distinct_count color);
-  let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_char b '#';
-  List.iter
-    (fun col ->
-      Buffer.add_string b col;
-      Buffer.add_char b ' ')
-    (List.sort String.compare (Array.to_list color));
-  Buffer.add_char b '#';
-  let ctx =
-    Array.to_list
-      (Array.mapi (fun i _ -> elem_context ~esig ~by_name ~color c i) elems)
-  in
-  List.iter
-    (fun s ->
-      Buffer.add_string b s;
-      Buffer.add_char b '\n')
-    (List.sort String.compare ctx);
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let wl_hash ~with_values (c : Netlist.circuit) =
-  wl_hash_with ~by_name:(name_index c)
-    ~inc:(incidence c.node_count c.elements)
-    ~esig:(static_sigs ~with_values c.elements)
-    c
-
-let pattern_hash c = wl_hash ~with_values:false c
-
-let exact_hash c = wl_hash ~with_values:true c
-
-(* The signature body over a prebuilt name index; [vsig] is the
-   with-values static signature of each element (shared with the exact
-   refinement run by {!hashes}). *)
-let signature_with ~by_name ~vsig (c : Netlist.circuit) =
+(* Node count, then per element in construction order: kind (plus
+   value bits when [with_values]), port node ids, and each named
+   reference resolved to the referenced element's index. *)
+let serialize ~with_values ~by_name (c : Netlist.circuit) =
   let b = Buffer.create 512 in
   Buffer.add_string b (string_of_int c.node_count);
   Buffer.add_char b '#';
-  Array.iteri
-    (fun i e ->
-      Buffer.add_string b vsig.(i);
+  Array.iter
+    (fun e ->
+      add_static ~with_values b e;
       Array.iter
         (fun v ->
           Buffer.add_string b (string_of_int v);
@@ -236,7 +125,7 @@ let signature_with ~by_name ~vsig (c : Netlist.circuit) =
       List.iter
         (fun r ->
           Buffer.add_char b '>';
-          match Hashtbl.find_opt by_name (String.lowercase_ascii r) with
+          match Hashtbl.find_opt (Lazy.force by_name) (String.lowercase_ascii r) with
           | Some j -> Buffer.add_string b (string_of_int j)
           | None -> Buffer.add_char b '?')
         (refs e);
@@ -244,28 +133,14 @@ let signature_with ~by_name ~vsig (c : Netlist.circuit) =
     c.elements;
   Buffer.contents b
 
-let exact_signature (c : Netlist.circuit) =
-  signature_with ~by_name:(name_index c)
-    ~vsig:(static_sigs ~with_values:true c.elements)
-    c
-
-type hashes = {
+type keys = {
   pattern : string;
-  exact : string;
   signature : string;
 }
 
-(* The ECO hot path re-canons a net on every re-solve, so the three
-   forms share one setup: the name index and node incidence are built
-   once (they do not depend on values), and the with-values static
-   signatures feed both the exact refinement and the signature
-   serialization.  Each output is string-identical to its single-form
-   function — only the redundant setup work is removed. *)
+(* the name index is only needed by circuits with named references,
+   which STA stage circuits never have *)
 let hashes (c : Netlist.circuit) =
-  let by_name = name_index c in
-  let inc = incidence c.node_count c.elements in
-  let psig = static_sigs ~with_values:false c.elements in
-  let vsig = static_sigs ~with_values:true c.elements in
-  { pattern = wl_hash_with ~by_name ~inc ~esig:psig c;
-    exact = wl_hash_with ~by_name ~inc ~esig:vsig c;
-    signature = signature_with ~by_name ~vsig c }
+  let by_name = lazy (name_index c) in
+  { pattern = serialize ~with_values:false ~by_name c;
+    signature = serialize ~with_values:true ~by_name c }

@@ -1,71 +1,42 @@
-(** Canonical per-net circuit forms for the structure-sharing cache.
+(** Solve keys: name-free circuit serializations for the structure cache.
 
     Timing designs instantiate the same few interconnect templates
-    thousands of times, differing only in node and element names.  This
-    module condenses a frozen circuit into hashes that are invariant
-    under such relabelings, so the analysis done for one instance can be
-    found again from any other:
+    thousands of times, differing only in node and element names.  The
+    STA layer builds every net's stage circuit in a fixed construction
+    order, so two instances of one template number their nodes and list
+    their elements identically.  This module serializes a frozen
+    circuit in that order with all names stripped, and the strings
+    themselves are the cache keys:
 
-    - {!pattern_hash} keys the {e pattern} tier: element kinds and
-      topology only, no values.  Two circuits with equal pattern hashes
-      are expected to assemble MNA matrices with the same sparsity
-      pattern, so one symbolic factorization ({!Sparse.Slu.symbolic})
-      serves both.
-    - {!exact_hash} keys the {e exact} tier: values and source
-      waveforms are folded in (as IEEE-754 bit patterns, so [0.1] and
-      a value merely printed the same never collide), so equal hashes
-      identify circuits that are electrically identical up to
-      relabeling.
-    - {!exact_signature} is the collision guard for the exact tier: a
-      bit-exact, construction-order serialization with all names
-      stripped.  Equal signatures mean the two circuits stamp
-      element-for-element identical MNA systems — same node ids, same
-      value bits — so every downstream result (factors, moments, fitted
-      models) is bitwise reusable.
+    - [signature] keys the {e exact} tier: node count, then each
+      element's kind, port node ids, resolved references and IEEE-754
+      value bits (so [0.1] and a value merely printed the same never
+      collide; [-0.0] and [0.0] differ).  Equal signatures mean the
+      two circuits stamp element-for-element identical MNA systems —
+      same node ids, same value bits — so every downstream result
+      (factors, moments, fitted models) is bitwise reusable.
+    - [pattern] keys the {e pattern} tier: the same serialization
+      without values or waveforms.  Equal patterns mean the same
+      elements stamp the same positions, so (values being nonzero) the
+      MNA matrices share one sparsity pattern and one symbolic
+      factorization ({!Sparse.Slu.symbolic}) serves both.  The pattern
+      tier still checks {!Sparse.Slu.pattern_matches} before reusing a
+      symbolic; the key is an index, the check is the guarantee.
 
-    Both hashes use Weisfeiler-Leman color refinement on the
-    element/node incidence structure, with the ground node
-    distinguished, so they are invariant under any renumbering of the
-    non-ground nodes and any renaming of elements.  Ports are treated
-    as ordered (a resistor's [np]/[nn] swap changes the hash): this can
-    split some true isomorphism classes, which only costs a cache miss,
-    never a wrong hit.
+    Both keys are construction-order: a relabeled or reordered copy of
+    a circuit gets different keys and simply misses the cache, never
+    hits it wrongly.
 
     Controlled-source references ([Ccvs]/[Cccs] controlling sources,
-    [Mutual] inductor pairs) are resolved through the circuit and
-    contribute the referenced element's own structural signature, not
-    its name.  STA-built interconnect nets contain none of these; the
-    resolution exists so the hashes stay well-defined (and still
-    name-invariant) on full decks. *)
+    [Mutual] inductor pairs) are resolved through the circuit to the
+    referenced element's index, not its name.  STA-built interconnect
+    nets contain none of these; the resolution keeps the keys
+    well-defined and name-free on full decks. *)
 
-val pattern_hash : Netlist.circuit -> string
-(** Hex digest of kinds + topology, invariant under node relabeling and
-    element renaming; blind to element values and waveforms. *)
-
-val exact_hash : Netlist.circuit -> string
-(** Hex digest of kinds + topology + exact value bits + waveforms,
-    invariant under node relabeling and element renaming.  Any value
-    perturbation, however small, changes the hash. *)
-
-type hashes = {
-  pattern : string;
-  exact : string;
-  signature : string;
+type keys = {
+  pattern : string;  (** value-free serialization: the pattern-tier key *)
+  signature : string;  (** bit-exact serialization: the exact-tier key *)
 }
 
-val hashes : Netlist.circuit -> hashes
-(** All three canonical forms from one shared traversal: the node
-    incidence tables and element name index are built once and reused
-    by both refinement runs and the signature serialization.  Each
-    field is string-identical to the corresponding single-form
-    function; callers that need more than one form (the solve path
-    re-canons every net it touches) should use this. *)
-
-val exact_signature : Netlist.circuit -> string
-(** Bit-exact serialization of the circuit in construction order with
-    names stripped: node count, then each element's kind, port node
-    ids, IEEE-754 value bits, waveform, and resolved references (by
-    element index).  Two circuits with equal signatures build identical
-    MNA systems entry for entry; the exact cache tier compares full
-    signatures (not digests) before reusing an engine, so a hash
-    collision can never smuggle in wrong results. *)
+val hashes : Netlist.circuit -> keys
+(** Both solve keys of a circuit, from one shared name index. *)

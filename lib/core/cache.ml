@@ -5,8 +5,6 @@
 
 module Smap = Map.Make (String)
 
-type 'a exact_entry = { e_sig : string; e_payload : 'a }
-
 (* The pattern tier lives in its own store so several caches can share
    one: corner analyses change element values, never topology, so the
    symbolic factorizations are corner-invariant — N per-corner caches
@@ -16,12 +14,12 @@ type 'a exact_entry = { e_sig : string; e_payload : 'a }
    footprint is stale without seeing each other. *)
 type patterns = {
   mutable p_symbolics : Sparse.Slu.symbolic list Smap.t;
-      (* pattern hash -> analyses *)
+      (* pattern key -> analyses *)
   mutable p_epoch : int;
 }
 
 type 'a t = {
-  mutable exact : 'a exact_entry list Smap.t; (* exact hash -> entries *)
+  mutable exact : 'a Smap.t; (* exact key -> payload *)
   pats : patterns; (* possibly shared with other caches *)
   mutable bytes_memo : (int * int) option;
       (* (pattern epoch, footprint): lazily computed, invalidated by
@@ -30,7 +28,7 @@ type 'a t = {
 }
 
 type 'a view = {
-  v_exact : 'a exact_entry list Smap.t;
+  v_exact : 'a Smap.t;
   v_symbolics : Sparse.Slu.symbolic list Smap.t;
 }
 
@@ -46,35 +44,25 @@ let patterns t = t.pats
 
 let view t = { v_exact = t.exact; v_symbolics = t.pats.p_symbolics }
 
-let find_exact v ~hash ~signature =
-  match Smap.find_opt hash v.v_exact with
-  | None -> None
-  | Some entries ->
-    List.find_map
-      (fun e ->
-        if String.equal e.e_sig signature then Some e.e_payload else None)
-      entries
+let find_exact v ~key = Smap.find_opt key v.v_exact
 
-let find_symbolic v ~hash =
-  Option.value ~default:[] (Smap.find_opt hash v.v_symbolics)
+let find_symbolic v ~key =
+  Option.value ~default:[] (Smap.find_opt key v.v_symbolics)
 
-let publish_exact t ~hash ~signature payload =
-  let entries = Option.value ~default:[] (Smap.find_opt hash t.exact) in
-  if List.exists (fun e -> String.equal e.e_sig signature) entries then false
+let publish_exact t ~key payload =
+  if Smap.mem key t.exact then false
   else begin
-    t.exact <-
-      Smap.add hash ({ e_sig = signature; e_payload = payload } :: entries)
-        t.exact;
+    t.exact <- Smap.add key payload t.exact;
     t.bytes_memo <- None;
     true
   end
 
-let publish_symbolic t ~hash s =
+let publish_symbolic t ~key s =
   let p = t.pats in
-  let entries = Option.value ~default:[] (Smap.find_opt hash p.p_symbolics) in
+  let entries = Option.value ~default:[] (Smap.find_opt key p.p_symbolics) in
   if List.exists (fun s' -> Sparse.Slu.same_analysis s' s) entries then false
   else begin
-    p.p_symbolics <- Smap.add hash (s :: entries) p.p_symbolics;
+    p.p_symbolics <- Smap.add key (s :: entries) p.p_symbolics;
     p.p_epoch <- p.p_epoch + 1;
     t.bytes_memo <- None;
     true
@@ -85,28 +73,20 @@ let publish_symbolic t ~hash s =
    it, keeping the key set equal to what a cold run of the edited
    design would publish.  Both removers bump the pattern epoch /
    drop the byte memo like publication does. *)
-let remove_exact t ~hash ~signature =
-  match Smap.find_opt hash t.exact with
-  | None -> false
-  | Some entries ->
-    let kept =
-      List.filter (fun e -> not (String.equal e.e_sig signature)) entries
-    in
-    if List.length kept = List.length entries then false
-    else begin
-      t.exact <-
-        (if kept = [] then Smap.remove hash t.exact
-         else Smap.add hash kept t.exact);
-      t.bytes_memo <- None;
-      true
-    end
+let remove_exact t ~key =
+  if not (Smap.mem key t.exact) then false
+  else begin
+    t.exact <- Smap.remove key t.exact;
+    t.bytes_memo <- None;
+    true
+  end
 
-let remove_symbolic t ~hash =
+let remove_symbolic t ~key =
   let p = t.pats in
-  match Smap.find_opt hash p.p_symbolics with
+  match Smap.find_opt key p.p_symbolics with
   | None -> 0
   | Some entries ->
-    p.p_symbolics <- Smap.remove hash p.p_symbolics;
+    p.p_symbolics <- Smap.remove key p.p_symbolics;
     p.p_epoch <- p.p_epoch + 1;
     t.bytes_memo <- None;
     List.length entries
@@ -127,23 +107,17 @@ let bytes t =
     t.bytes_memo <- Some (t.pats.p_epoch, b);
     b
 
-let exact_entries t =
-  Smap.fold (fun _ entries n -> n + List.length entries) t.exact 0
+let exact_entries t = Smap.cardinal t.exact
 
 let symbolic_entries t =
   Smap.fold (fun _ entries n -> n + List.length entries) t.pats.p_symbolics 0
 
-let exact_keys t =
-  Smap.fold
-    (fun hash entries acc ->
-      List.fold_left (fun acc e -> (hash, e.e_sig) :: acc) acc entries)
-    t.exact []
-  |> List.sort compare
+let exact_keys t = List.map fst (Smap.bindings t.exact)
 
 let symbolic_keys t =
   Smap.fold
-    (fun hash entries acc ->
-      List.rev_append (List.map (fun _ -> hash) entries) acc)
+    (fun key entries acc ->
+      List.rev_append (List.map (fun _ -> key) entries) acc)
     t.pats.p_symbolics []
   |> List.sort compare
 
@@ -154,11 +128,11 @@ let symbolic_keys t =
    determinism contract distinguishes the two tiers. *)
 module Shard = struct
   type 'a publication =
-    | P_exact of { hash : string; signature : string; payload : 'a }
-    | P_symbolic of { hash : string; s : Sparse.Slu.symbolic }
+    | P_exact of { key : string; payload : 'a }
+    | P_symbolic of { key : string; s : Sparse.Slu.symbolic }
 
   type 'a t = {
-    s_exact : (string, 'a exact_entry list) Hashtbl.t;
+    s_exact : (string, 'a) Hashtbl.t;
     s_symbolics : (string, Sparse.Slu.symbolic list) Hashtbl.t;
     mutable log : 'a publication list; (* newest first *)
   }
@@ -168,35 +142,25 @@ module Shard = struct
       s_symbolics = Hashtbl.create 16;
       log = [] }
 
-  let find_exact t ~hash ~signature =
-    match Hashtbl.find_opt t.s_exact hash with
-    | None -> None
-    | Some entries ->
-      List.find_map
-        (fun e ->
-          if String.equal e.e_sig signature then Some e.e_payload else None)
-        entries
+  let find_exact t ~key = Hashtbl.find_opt t.s_exact key
 
-  let find_symbolic t ~hash =
-    Option.value ~default:[] (Hashtbl.find_opt t.s_symbolics hash)
+  let find_symbolic t ~key =
+    Option.value ~default:[] (Hashtbl.find_opt t.s_symbolics key)
 
-  let publish_exact t ~hash ~signature payload =
-    let entries = Option.value ~default:[] (Hashtbl.find_opt t.s_exact hash) in
-    if not (List.exists (fun e -> String.equal e.e_sig signature) entries)
-    then begin
-      Hashtbl.replace t.s_exact hash
-        ({ e_sig = signature; e_payload = payload } :: entries);
-      t.log <- P_exact { hash; signature; payload } :: t.log
+  let publish_exact t ~key payload =
+    if not (Hashtbl.mem t.s_exact key) then begin
+      Hashtbl.replace t.s_exact key payload;
+      t.log <- P_exact { key; payload } :: t.log
     end
 
-  let publish_symbolic t ~hash s =
+  let publish_symbolic t ~key s =
     let entries =
-      Option.value ~default:[] (Hashtbl.find_opt t.s_symbolics hash)
+      Option.value ~default:[] (Hashtbl.find_opt t.s_symbolics key)
     in
     if not (List.exists (fun s' -> Sparse.Slu.same_analysis s' s) entries)
     then begin
-      Hashtbl.replace t.s_symbolics hash (s :: entries);
-      t.log <- P_symbolic { hash; s } :: t.log
+      Hashtbl.replace t.s_symbolics key (s :: entries);
+      t.log <- P_symbolic { key; s } :: t.log
     end
 
   let publications t = List.rev t.log
@@ -205,7 +169,6 @@ end
 let absorb t shard =
   List.iter
     (function
-      | Shard.P_exact { hash; signature; payload } ->
-        ignore (publish_exact t ~hash ~signature payload)
-      | Shard.P_symbolic { hash; s } -> ignore (publish_symbolic t ~hash s))
+      | Shard.P_exact { key; payload } -> ignore (publish_exact t ~key payload)
+      | Shard.P_symbolic { key; s } -> ignore (publish_symbolic t ~key s))
     (Shard.publications shard)

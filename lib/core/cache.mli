@@ -2,18 +2,20 @@
 
     Timing designs are template-heavy: the same few interconnect
     shapes are stamped out thousands of times.  The cache lets an
-    analysis done once serve every later instance, at two strengths:
+    analysis done once serve every later instance, at two strengths.
+    Both tiers are keyed on plain strings — the solve keys of
+    {!Circuit.Canon.hashes}, which the caller may prefix with its own
+    context — compared in full, never digested:
 
-    - {e pattern} tier — keyed on a topology-only hash
-      ({!Circuit.Canon.pattern_hash}), it stores symbolic sparse
-      factorizations ({!Sparse.Slu.symbolic}).  A hit skips the
-      ordering + static pivoting + fill analysis; the numeric
-      refactorization still runs, so the resulting factors are
+    - {e pattern} tier — keyed on a value-free serialization, it
+      stores symbolic sparse factorizations ({!Sparse.Slu.symbolic}).
+      A hit skips the ordering + static pivoting + fill analysis; the
+      numeric refactorization still runs, so the resulting factors are
       bit-identical to an uncached run.
-    - {e exact} tier — keyed on a value-exact hash plus a bit-exact
-      guard signature ({!Circuit.Canon.exact_signature}), it stores an
-      arbitrary payload (the STA layer caches a whole fitted engine
-      with its per-sink results).  A hit skips everything.
+    - {e exact} tier — keyed on a bit-exact serialization, it stores
+      an arbitrary payload (the STA layer caches a whole fitted engine
+      with its per-sink results).  Equal keys mean identical MNA
+      systems, so a hit skips everything.
 
     {b Determinism.}  Lookups go through a {!view}: an immutable
     snapshot of the cache contents at the moment {!view} was taken.
@@ -71,47 +73,42 @@ val view : 'a t -> 'a view
 (** Snapshot the current contents.  Later publications do not appear
     in previously taken views. *)
 
-val find_exact : 'a view -> hash:string -> signature:string -> 'a option
-(** Exact-tier lookup: the payload published under this hash whose
-    guard signature is byte-identical to [signature], if any.  The
-    signature comparison is what makes a hit sound — two circuits with
-    equal signatures assemble identical systems, so a hash collision
-    (or a WL-equivalent but differently-labeled instance, whose matrix
-    is a permutation with different rounding) can never return wrong
-    results: it simply misses. *)
+val find_exact : 'a view -> key:string -> 'a option
+(** Exact-tier lookup: the payload published under this exact key, if
+    any. *)
 
-val find_symbolic : 'a view -> hash:string -> Sparse.Slu.symbolic list
+val find_symbolic : 'a view -> key:string -> Sparse.Slu.symbolic list
 (** Pattern-tier lookup: all symbolic analyses published under this
-    pattern hash (usually zero or one).  Callers must probe each
-    candidate with {!Sparse.Slu.pattern_matches} before use — the hash
-    is a heuristic index, the pattern check is the guarantee. *)
+    pattern key (usually zero or one).  Callers must probe each
+    candidate with {!Sparse.Slu.pattern_matches} before use — the key
+    is an index, the pattern check is the guarantee. *)
 
-val publish_exact : 'a t -> hash:string -> signature:string -> 'a -> bool
-(** Publish a payload under (hash, signature).  First publication
-    wins: returns [false] (and keeps the existing entry) when the pair
-    is already present. *)
+val publish_exact : 'a t -> key:string -> 'a -> bool
+(** Publish a payload under an exact key.  First publication wins:
+    returns [false] (and keeps the existing entry) when the key is
+    already present. *)
 
-val publish_symbolic : 'a t -> hash:string -> Sparse.Slu.symbolic -> bool
-(** Publish a symbolic analysis under a pattern hash.  Returns [false]
+val publish_symbolic : 'a t -> key:string -> Sparse.Slu.symbolic -> bool
+(** Publish a symbolic analysis under a pattern key.  Returns [false]
     when an analysis of the identical pattern is already stored under
-    the hash ({!Sparse.Slu.same_analysis}), so concurrent misses on
+    the key ({!Sparse.Slu.same_analysis}), so concurrent misses on
     one template publish a single copy. *)
 
-val remove_exact : 'a t -> hash:string -> signature:string -> bool
-(** Retire the exact-tier entry published under (hash, signature), if
-    present.  Returns whether an entry was removed.  Incremental
+val remove_exact : 'a t -> key:string -> bool
+(** Retire the exact-tier entry published under [key], if present.
+    Returns whether an entry was removed.  Incremental
     sessions use this to keep the exact tier equal to what a cold run
     of the {e current} design would publish: when an edit changes a
     net's value-exact key and no other net still maps to the old key,
     the stale entry is removed rather than left to shadow the tier's
     fingerprint. *)
 
-val remove_symbolic : 'a t -> hash:string -> int
-(** Retire {e all} symbolic analyses stored under a pattern hash (a
+val remove_symbolic : 'a t -> key:string -> int
+(** Retire {e all} symbolic analyses stored under a pattern key (a
     topology edit changed the last net with that pattern).  Returns
-    how many analyses were dropped (0 when the hash was absent).
+    how many analyses were dropped (0 when the key was absent).
     Affects every cache sharing this pattern store — callers
-    refcount hashes across exactly the nets served by the store. *)
+    refcount keys across exactly the nets served by the store. *)
 
 val bytes : 'a t -> int
 (** Approximate heap footprint of everything the cache retains, in
@@ -128,13 +125,12 @@ val exact_entries : 'a t -> int
 val symbolic_entries : 'a t -> int
 (** Number of pattern-tier analyses currently stored. *)
 
-val exact_keys : 'a t -> (string * string) list
-(** All (hash, signature) pairs in the exact tier, sorted — a
-    payload-free fingerprint of the tier's contents, for equality
-    checks in tests. *)
+val exact_keys : 'a t -> string list
+(** All keys of the exact tier, sorted — a payload-free fingerprint
+    of the tier's contents, for equality checks in tests. *)
 
 val symbolic_keys : 'a t -> string list
-(** Pattern hashes of the symbolic tier, one per stored analysis,
+(** Pattern keys of the symbolic tier, one per stored analysis,
     sorted. *)
 
 (** Task-private publication overlays (see the header notes). *)
@@ -146,19 +142,18 @@ module Shard : sig
 
   val create : unit -> 'a t
 
-  val find_exact : 'a t -> hash:string -> signature:string -> 'a option
-  (** Exact lookup among this shard's own publications (same signature
-      guard as the shared tier). *)
+  val find_exact : 'a t -> key:string -> 'a option
+  (** Exact lookup among this shard's own publications. *)
 
-  val find_symbolic : 'a t -> hash:string -> Sparse.Slu.symbolic list
+  val find_symbolic : 'a t -> key:string -> Sparse.Slu.symbolic list
   (** Pattern lookup among this shard's own publications.  Probe
       candidates with {!Sparse.Slu.pattern_matches} before use. *)
 
-  val publish_exact : 'a t -> hash:string -> signature:string -> 'a -> unit
+  val publish_exact : 'a t -> key:string -> 'a -> unit
   (** Record a publication in the shard (first-wins within the
       shard). *)
 
-  val publish_symbolic : 'a t -> hash:string -> Sparse.Slu.symbolic -> unit
+  val publish_symbolic : 'a t -> key:string -> Sparse.Slu.symbolic -> unit
   (** Record a symbolic publication in the shard (deduplicated within
       the shard by {!Sparse.Slu.same_analysis}). *)
 end

@@ -82,7 +82,7 @@ type t = {
   (* cache-key refcounts over live nets: entries are retired at zero
      so the cache's key set always equals what a cold cached analyze
      of the current design would publish *)
-  exact_refs : (string * string, int) Hashtbl.t;
+  exact_refs : (string, int) Hashtbl.t;
   pattern_refs : (string, int) Hashtbl.t;
   req_seed : (string, unit) Hashtbl.t;
       (* nets whose required-time inputs changed without a re-solve
@@ -175,14 +175,13 @@ let claim_keys t (keys : solve_keys) =
    an entry that is still live. *)
 let retire_keys t (keys : solve_keys) =
   (match keys.sk_exact with
-  | Some (hash, signature) ->
-    if decr_ref t.exact_refs (hash, signature) then
-      ignore (cache_remove_exact t.cache ~hash ~signature)
+  | Some key ->
+    if decr_ref t.exact_refs key then ignore (cache_remove_exact t.cache ~key)
   | None -> ());
   match keys.sk_pattern with
-  | Some hash ->
-    if decr_ref t.pattern_refs hash then
-      ignore (cache_remove_pattern t.cache ~hash)
+  | Some key ->
+    if decr_ref t.pattern_refs key then
+      ignore (cache_remove_pattern t.cache ~key)
   | None -> ()
 
 (* --- per-net record rebuild --------------------------------------- *)

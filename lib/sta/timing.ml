@@ -531,23 +531,24 @@ let net_circuit (d : design) ~net ~driver_res ~slew =
 
 (* ------------------------------------------------------------------ *)
 (* Structure-sharing cache.  Timing designs stamp the same few
-   interconnect templates thousands of times; the cache lets the
-   analysis done for one instance serve every relabeled copy.
+   interconnect templates thousands of times, and [net_circuit] builds
+   every instance in the same construction order; the cache lets the
+   analysis done for one instance serve every identical copy.
 
    Exact tier: the whole per-net result — the fitted engine and each
    sink's (delay, slew) keyed by sink node id.  The key folds in
    everything the numbers depend on beyond the circuit: delay model,
    threshold, vdd, input slew, sparse flag, and the ordered sink node
    ids (a zero-cap sink adds no element, so the sink set is not
-   derivable from the circuit alone).  The guard signature makes a hit
-   sound and bit-exact: equal signatures mean the instance stamps an
-   MNA system identical entry for entry, so the cached numbers are the
-   ones recomputation would produce.  A merely isomorphic instance
-   (relabeled nodes — a permuted matrix with different rounding)
-   shares the hash but fails the guard and misses.
+   derivable from the circuit alone), prefixed to the circuit's
+   bit-exact signature ({!Circuit.Canon}).  Equal keys mean the
+   instance stamps an MNA system identical entry for entry, so the
+   cached numbers are the ones recomputation would produce.  A
+   relabeled instance (a permuted matrix with different rounding) has
+   a different key and misses.
 
-   Pattern tier: the symbolic sparse analysis keyed on the
-   topology-only hash.  A hit skips ordering/pivoting/fill analysis;
+   Pattern tier: the symbolic sparse analysis keyed on the value-free
+   signature.  A hit skips ordering/pivoting/fill analysis;
    the numeric refactorization still runs, so the factors are
    bit-identical to an uncached run. *)
 
@@ -559,7 +560,7 @@ type cache_payload = {
          (it is shared across domains). *)
   cp_sinks : (Circuit.Element.node * (float * float * float)) list;
       (* sink node id -> (rise delay, fall delay, slew); complete for
-         any instance that passes the guard, because the signature
+         any instance with the same exact key, because the key
          fixes the node ids *)
   cp_stats : Awe.Stats.snapshot;
       (* the work counters of the computation that built this entry;
@@ -597,15 +598,14 @@ let cache_shard () : cache_shard = Awe.Cache.Shard.create ()
 
 let cache_absorb (c : cache) (sh : cache_shard) = Awe.Cache.absorb c sh
 
-let cache_remove_exact (c : cache) ~hash ~signature =
-  Awe.Cache.remove_exact c ~hash ~signature
+let cache_remove_exact (c : cache) ~key = Awe.Cache.remove_exact c ~key
 
-let cache_remove_pattern (c : cache) ~hash = Awe.Cache.remove_symbolic c ~hash
+let cache_remove_pattern (c : cache) ~key = Awe.Cache.remove_symbolic c ~key
 
 let cache_bytes (c : cache) = Awe.Cache.bytes c
 
 type solve_keys = {
-  sk_exact : (string * string) option;
+  sk_exact : string option;
   sk_pattern : string option;
 }
 
@@ -626,10 +626,8 @@ let cache_keys (d : design) ~model ~options ~slew ~circuit ~sink_nodes =
       (String.concat ","
          (List.map (fun (_, n) -> string_of_int n) sink_nodes))
   in
-  let h = Circuit.Canon.hashes circuit in
-  let exact = Digest.to_hex (Digest.string (ctx ^ "|" ^ h.Circuit.Canon.exact)) in
-  let signature = ctx ^ "|" ^ h.Circuit.Canon.signature in
-  (exact, signature, h.Circuit.Canon.pattern)
+  let k = Circuit.Canon.hashes circuit in
+  (ctx ^ "|" ^ k.Circuit.Canon.signature, k.Circuit.Canon.pattern)
 
 (* threshold delay and output slew of every sink of one net, from ONE
    MNA build, one factorization, and one shared moment-vector sequence
@@ -731,11 +729,15 @@ let compute_sink_timings (d : design) ~model ~options ~symbolic ~net ~slew
     in
     (timings, engine)
   with
-  (* funnel sparse-layer singularities into the STA's own error
-     vocabulary: the stage circuit's node names are net-local, so the
-     message already points at the offending pin *)
+  (* funnel sparse-layer singularities and fits that fail at every
+     order into the STA's own error vocabulary: the stage circuit's
+     node names are net-local, so the message already points at the
+     offending pin *)
   | Circuit.Mna.Singular_dc msg -> malformed "net %s: %s" net msg
   | Invalid_argument msg -> malformed "net %s: %s" net msg
+  | Awe.Degenerate msg -> malformed "net %s: %s" net msg
+  | Awe.Unstable_fit poles ->
+    malformed "net %s: unstable fit (%d poles)" net (List.length poles)
 
 (* Time one net, consulting the frozen cache view when there is one
    and the task's private shard after it.  Cache counters are recorded
@@ -756,8 +758,8 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
   if sink_nodes = [] then ([], no_keys)
   else
     (* model-order reduction before stamping (and before the cache
-       keys are derived, so isomorphic-after-reduction stages share
-       pattern-tier entries).  Sink pins are ports: never eliminated,
+       keys are derived, so stages identical after reduction share
+       cache entries).  Sink pins are ports: never eliminated,
        only renumbered. *)
     let circuit, sink_nodes =
       if not reduce then (circuit, sink_nodes)
@@ -787,15 +789,15 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
       in
       (timings, no_keys)
     | Some v -> (
-      let exact_hash, signature, pattern =
+      let exact, pattern =
         cache_keys d ~model ~options ~slew ~circuit ~sink_nodes
       in
       let keys =
-        { sk_exact = Some (exact_hash, signature);
+        { sk_exact = Some exact;
           sk_pattern = (if options.Awe.sparse then Some pattern else None) }
       in
       (* serve a whole net from a payload (view or shard tier): equal
-         signatures fix the sink node ids, so the cached per-node
+         exact keys fix the sink node ids, so the cached per-node
          numbers are the ones recomputation would produce *)
       let serve payload =
         List.map
@@ -803,7 +805,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
             match List.assoc_opt node payload.cp_sinks with
             | Some (dly, dlf, slw) -> (inst, dly, dlf, slw)
             | None ->
-              (* unreachable: equal signatures fix the sink node set.
+              (* unreachable: equal exact keys fix the sink node set.
                  Kept total by re-deriving a single-pole answer from
                  the cached engine's (already computed) moments. *)
               let tau =
@@ -815,7 +817,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
                 tau *. log 9. ))
           sink_nodes
       in
-      match Awe.Cache.find_exact v ~hash:exact_hash ~signature with
+      match Awe.Cache.find_exact v ~key:exact with
       | Some payload ->
         Awe.Stats.record_cache_exact_hit ();
         (* the hit stands for the original computation: replay its
@@ -827,7 +829,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
         let shard_exact =
           match shard with
           | None -> None
-          | Some sh -> Awe.Cache.Shard.find_exact sh ~hash:exact_hash ~signature
+          | Some sh -> Awe.Cache.Shard.find_exact sh ~key:exact
         in
         match shard_exact with
         | Some payload ->
@@ -844,7 +846,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
         | None ->
           let view_candidate =
             if options.Awe.sparse then
-              match Awe.Cache.find_symbolic v ~hash:pattern with
+              match Awe.Cache.find_symbolic v ~key:pattern with
               | s :: _ -> Some s
               | [] -> None
             else None
@@ -858,7 +860,7 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
           let shard_candidate =
             match (view_candidate, shard) with
             | None, Some sh when options.Awe.sparse -> (
-              match Awe.Cache.Shard.find_symbolic sh ~hash:pattern with
+              match Awe.Cache.Shard.find_symbolic sh ~key:pattern with
               | s :: _ -> Some s
               | [] -> None)
             | _ -> None
@@ -894,13 +896,12 @@ let net_sink_timings_keyed (d : design) ~model ~options ~reduce ~view ~shard
           (match shard with
           | None -> ()
           | Some sh ->
-            Awe.Cache.Shard.publish_exact sh ~hash:exact_hash ~signature
-              payload;
+            Awe.Cache.Shard.publish_exact sh ~key:exact payload;
             (match used with
             | Some u when not reused_from_view ->
               (* freshly analyzed (or taken from the shard — the
                  shard's own dedup drops that republication) *)
-              Awe.Cache.Shard.publish_symbolic sh ~hash:pattern u
+              Awe.Cache.Shard.publish_symbolic sh ~key:pattern u
             | _ -> ()));
           (timings, keys)))
 

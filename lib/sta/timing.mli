@@ -339,15 +339,16 @@ type path = {
 
 type cache
 (** A structure-sharing cache across nets (and across [analyze]
-    calls).  Two tiers: an {e exact} tier keyed on the value-exact
-    canonical hash of the stage circuit (plus model, threshold, vdd,
+    calls).  Two tiers, both keyed on the stage circuit's
+    construction-order serialization ({!Circuit.Canon}): an {e exact}
+    tier keyed on the bit-exact signature (plus model, threshold, vdd,
     input slew and sink set), which serves a whole net's timings from
     the first identical instance; and a {e pattern} tier keyed on the
-    topology-only hash, which reuses the symbolic sparse factorization
-    across structurally identical nets ([sparse] runs only).  Guarded
-    so hits are bit-identical to recomputation: the exact tier
-    compares full construction-order signatures, the pattern tier
-    re-checks the matrix pattern before reuse. *)
+    value-free signature, which reuses the symbolic sparse
+    factorization across structurally identical nets ([sparse] runs
+    only).  Hits are bit-identical to recomputation: equal exact keys
+    stamp identical systems, and the pattern tier re-checks the matrix
+    pattern before reuse. *)
 
 val create_cache : ?patterns:Awe.Cache.patterns -> unit -> cache
 (** [patterns] (default: a fresh private store) is the pattern-tier
@@ -356,10 +357,10 @@ val create_cache : ?patterns:Awe.Cache.patterns -> unit -> cache
     exact tier is value-keyed and must stay per-corner, but topology
     is corner-invariant). *)
 
-val cache_fingerprint : cache -> (string * string) list * string list
-(** A payload-free fingerprint of the cache contents: the sorted
-    (hash, signature) pairs of the exact tier and the sorted pattern
-    hashes of the symbolic tier.  Two caches populated by equivalent
+val cache_fingerprint : cache -> string list * string list
+(** A payload-free fingerprint of the cache contents: the sorted keys
+    of the exact tier and the sorted pattern keys of the symbolic
+    tier.  Two caches populated by equivalent
     publication sequences compare equal — used by tests to assert that
     shard-merged contents match sequential publication for every
     [jobs] value. *)
@@ -389,23 +390,23 @@ val cache_absorb : cache -> cache_shard -> unit
     (first-wins) — absorb shards in chunk order to reproduce
     sequential publication (THEORY.md, "Sharded publication"). *)
 
-val cache_remove_exact : cache -> hash:string -> signature:string -> bool
+val cache_remove_exact : cache -> key:string -> bool
 (** Retire one exact-tier entry; [true] when it existed. *)
 
-val cache_remove_pattern : cache -> hash:string -> int
-(** Retire all symbolic analyses under a pattern hash; returns how
+val cache_remove_pattern : cache -> key:string -> int
+(** Retire all symbolic analyses under a pattern key; returns how
     many were dropped. *)
 
 val cache_bytes : cache -> int
 (** Approximate heap footprint of the cache ({!Awe.Cache.bytes}). *)
 
 type solve_keys = {
-  sk_exact : (string * string) option;
-      (** (hash, signature) of the exact-tier entry this solve hit or
-          published; [None] when no cache view was consulted or the
-          net has no sinks *)
+  sk_exact : string option;
+      (** key of the exact-tier entry this solve hit or published;
+          [None] when no cache view was consulted or the net has no
+          sinks *)
   sk_pattern : string option;
-      (** pattern hash of the symbolic entry ([sparse] runs only) *)
+      (** pattern key of the symbolic entry ([sparse] runs only) *)
 }
 
 val solve_net :
@@ -532,7 +533,7 @@ val analyze :
     moments at the driver and every sink pin (which are ports and are
     never eliminated), so AWE delays agree within the verification
     harness tolerance.  Reduction happens {e before} cache keying, so
-    stages that become isomorphic after reduction share pattern-tier
+    stages that become identical after reduction share cache
     entries; the per-net reduction report accumulates into
     [stats] ([reduce_nodes_eliminated] and friends).
 

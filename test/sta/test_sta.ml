@@ -553,6 +553,99 @@ let test_non_strict_isolates () =
   let r1 = Sta.analyze ~jobs:1 ~strict:false d in
   check_reports_equal "broken siblings" r1 r
 
+(* a random design whose net n2 has no stable AWE fit at any order
+   under [Awe_auto]: the fit failure must surface as that net's
+   diagnostic like any other per-net failure *)
+let degenerate_design () =
+  let st = Random.State.make [| 0x1D8; 428506 |] in
+  random_design st ~nets:(4 + Random.State.int st 12)
+
+(* the .sta text of a [random_design] (gates, nets, one input) *)
+let sta_text d =
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let num = Printf.sprintf "%.17g" in
+  let gates = Sta.gate_details d in
+  List.iter
+    (fun (c : Sta.cell) ->
+      line "cell %s %s %s %s" c.cell_name (num c.drive_res) (num c.input_cap)
+        (num c.intrinsic))
+    (List.sort_uniq compare (List.map (fun (_, c, _, _) -> c) gates));
+  List.iter
+    (fun (inst, (c : Sta.cell), inputs, output) ->
+      line "gate %s %s %s %s" inst c.cell_name output (String.concat " " inputs))
+    gates;
+  List.iter
+    (fun net ->
+      Option.iter
+        (fun segs ->
+          line "net %s %s" net
+            (String.concat " ; "
+               (List.map
+                  (fun (s : Sta.segment) ->
+                    Printf.sprintf "%s %s %s %s" s.seg_from s.seg_to (num s.res)
+                      (num s.cap))
+                  segs)))
+        (Sta.net_segments d net))
+    (Sta.net_names d);
+  List.iter
+    (fun net ->
+      Option.iter
+        (fun (arrival, slew) ->
+          line "input %s arrival=%s slew=%s" net (num arrival) (num slew))
+        (Sta.primary_input d net))
+    (Sta.primary_input_nets d);
+  Buffer.contents b
+
+let test_degenerate_fit_is_per_net () =
+  let d = degenerate_design () in
+  let r = Sta.analyze ~jobs:test_jobs ~strict:false d in
+  let reason net =
+    List.find_map
+      (fun f -> if f.Sta.failed_net = net then Some f.Sta.reason else None)
+      r.Sta.failures
+  in
+  (match reason "n2" with
+  | Some msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "n2 keeps its own diagnostic (%s)" msg)
+      true
+      (contains msg "net n2" && msg <> "not timed: an upstream net failed")
+  | None -> Alcotest.fail "n2 missing from failures");
+  let downstream =
+    List.filter
+      (fun f -> f.Sta.reason = "not timed: an upstream net failed")
+      r.Sta.failures
+  in
+  Alcotest.(check bool) "downstream nets marked untimed" true (downstream <> []);
+  Alcotest.(check bool) "no failed net is reported timed" true
+    (List.for_all
+       (fun f ->
+         not (List.exists (fun nt -> nt.Sta.net_name = f.Sta.failed_net) r.Sta.nets))
+       r.Sta.failures);
+  (match Sta.analyze ~jobs:test_jobs d with
+  | _ -> Alcotest.fail "strict analyze: expected Malformed"
+  | exception Sta.Malformed msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "strict diagnostic names n2 (%s)" msg)
+      true (contains msg "n2"));
+  let path = Filename.temp_file "degenerate" ".sta" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc (sta_text d);
+      close_out oc;
+      let t = Sta.Serve.create () in
+      let body = (Sta.Serve.handle t ("load " ^ path)).Sta.Serve.body in
+      let prefix = {|{"ok":false,"error":|} in
+      Alcotest.(check bool)
+        (Printf.sprintf "serve load answers a plain error (%s)" body)
+        true
+        (String.length body >= String.length prefix
+        && String.sub body 0 (String.length prefix) = prefix
+        && not (contains body "internal error")))
+
 (* ------------------------------------------------------------------ *)
 (* Structure-sharing cache: caching is an execution detail.  Reports
    and the engine work counters must be bit-identical with the cache
@@ -613,6 +706,32 @@ let test_cache_jobs_deterministic () =
     (cache_counters c1.Sta.stats = cache_counters cn.Sta.stats);
   Alcotest.(check bool) "warm cache counters jobs-independent" true
     (cache_counters w1.Sta.stats = cache_counters wn.Sta.stats)
+
+(* The cache's sharing, pinned: the exact-hit / pattern-hit / miss
+   verdicts of a cold cached analysis (sparse, reduce on, [Awe_auto],
+   jobs 1) on each Synth template family.  A key change that loses
+   sharing (or gains a hit the bit-identity contract cannot vouch for)
+   moves these counts. *)
+let test_cache_verdicts_pinned () =
+  List.iter
+    (fun (name, d, expected) ->
+      let cache = Sta.create_cache () in
+      let r =
+        Sta.analyze ~model:Sta.Awe_auto ~sparse:true ~reduce:true ~jobs:1 ~cache d
+      in
+      let s = r.Sta.stats in
+      Alcotest.(check (triple int int int))
+        (name ^ ": exact / pattern / miss")
+        expected
+        Awe.Stats.(s.cache_exact_hits, s.cache_pattern_hits, s.cache_misses))
+    [ ("grid 40x40", Sta.Synth.grid ~rows:40 ~cols:40 (), (20, 1576, 83));
+      ("clock_tree 5x4", Sta.Synth.clock_tree ~levels:5 ~fanout:4 (), (0, 84, 2));
+      ( "rc_ladder 20x20x3",
+        Sta.Synth.rc_ladder ~stages:20 ~length:20 ~fanout:3 (),
+        (0, 18, 2) );
+      ( "buffered_mesh 32x32 seed 1",
+        Sta.Synth.buffered_mesh ~seed:1 ~rows:32 ~cols:32 (),
+        (0, 1019, 68) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Model-order reduction inside the timing loop: jobs-deterministic
@@ -1782,14 +1901,18 @@ let () =
           Alcotest.test_case "strict aborts on a broken net" `Quick
             test_strict_raises;
           Alcotest.test_case "non-strict isolates the broken net" `Quick
-            test_non_strict_isolates ] );
+            test_non_strict_isolates;
+          Alcotest.test_case "a degenerate fit fails its own net" `Quick
+            test_degenerate_fit_is_per_net ] );
       ( "cache",
         [ Alcotest.test_case "cache-on/off identity (adder deck)" `Quick
             test_cache_identity_adder;
           Alcotest.test_case "cache-on/off identity (random designs)" `Quick
             test_cache_identity_random;
           Alcotest.test_case "cached runs jobs-deterministic" `Quick
-            test_cache_jobs_deterministic ] );
+            test_cache_jobs_deterministic;
+          Alcotest.test_case "verdicts pinned on Synth designs" `Quick
+            test_cache_verdicts_pinned ] );
       ( "reduce",
         [ Alcotest.test_case "jobs-deterministic, off-agreement" `Quick
             test_reduce_jobs_deterministic ] );
